@@ -107,11 +107,7 @@ def _double_bracket_words(rule: BracketRule, aw: Word, bw: Word) -> dict:
                 left = Word(b[:q] + u.letters + a[p + 1:])
                 right = Word(a[:p] + v.letters + b[q + 1:])
                 key = (left, right)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c
     return out
 
 
@@ -125,11 +121,7 @@ def double_bracket(rule: BracketRule, a, b) -> TensorElement:
             rule.check_letters(wb)
             c = ca * cb
             for key, v in _double_bracket_words(rule, wa, wb).items():
-                s = out.get(key, 0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + c * v
     return TensorElement(out)
 
 
@@ -157,14 +149,16 @@ def _as_necklace_element(e) -> NecklaceElement:
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     """The induced Lie bracket on cyclic words."""
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
-    out = NecklaceElement()
+    out: dict = {}
     for n1, c1 in e1.terms.items():
         for n2, c2 in e2.terms.items():
             collapsed = loday_bracket(
                 rule, FreeElement.of(n1.representative), FreeElement.of(n2.representative)
             )
-            out = out + (c1 * c2) * project_to_necklace(collapsed)
-    return out
+            c = c1 * c2
+            for neck, v in project_to_necklace(collapsed).terms.items():
+                out[neck] = out.get(neck, 0) + c * v
+    return NecklaceElement(out)
 
 
 def _splice_sum(w1: Word, w2: Word) -> dict:
@@ -197,11 +191,7 @@ def kontsevich_bracket(w1, w2, d: int) -> NecklaceElement:
     minus = _splice_sum(n2.representative, n1.representative)
     out = dict(plus)
     for k, v in minus.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
+        out[k] = out.get(k, 0) - v
     return NecklaceElement(out)
 
 
@@ -212,11 +202,7 @@ def _left_extend(rule: BracketRule, a, tensor: TensorElement) -> TripleTensor:
         inner = double_bracket(rule, a, FreeElement.of(u))
         for (s, t), c2 in inner.terms.items():
             key = (s, t, v)
-            acc = out.get(key, 0) + c * c2
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + c * c2
     return TripleTensor(out)
 
 
@@ -248,12 +234,12 @@ def center_element(d: int, n: int) -> NecklaceElement:
     """The cyclic class of (sum_i [x_i, x_i*])^n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    c = FreeElement()
+    terms = {}
     for i in range(1, d + 1):
-        xi = FreeElement.of(Word([Letter(i)]))
-        xis = FreeElement.of(Word([Letter(i, True)]))
-        c = c + xi.commutator(xis)
-    return project_to_necklace(c**n)
+        xi, xis = Word([Letter(i)]), Word([Letter(i, True)])
+        terms[xi * xis] = 1
+        terms[xis * xi] = -1
+    return project_to_necklace(FreeElement(terms) ** n)
 
 
 @dataclass
@@ -341,25 +327,15 @@ def trace_algebra_derivation(rule: BracketRule, w, t: TraceElement) -> TraceElem
     """
     w = _as_necklace_element(w)
     out: dict = {}
-
-    def add(key, c):
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-
     for (mono, u), c in t.terms.items():
         for j, nj in enumerate(mono):
             bracket = necklace_bracket(rule, w, NecklaceElement.of(nj))
             rest = mono[:j] + mono[j + 1:]
             for neck, c2 in bracket.terms.items():
-                add((tuple(sorted(rest + (neck,))), u), c * c2)
-        word_part = FreeElement()
+                key = (tuple(sorted(rest + (neck,))), u)
+                out[key] = out.get(key, 0) + c * c2
         for nw, cw in w.terms.items():
-            word_part = word_part + cw * loday_bracket(
-                rule, FreeElement.of(nw.representative), FreeElement.of(u)
-            )
-        for uw, c2 in word_part.terms.items():
-            add((mono, uw), c * c2)
+            word_part = loday_bracket(rule, FreeElement.of(nw.representative), FreeElement.of(u))
+            for uw, c2 in word_part.terms.items():
+                out[(mono, uw)] = out.get((mono, uw), 0) + c * cw * c2
     return TraceElement(out)

@@ -130,10 +130,12 @@ def cmd_bracket(args) -> int:
         )
         rule = BracketRule.canonical(d)
         result = necklace_bracket(rule, e1, e2)
-        oracle = NecklaceElement()
+        terms = {}
         for n1, c1 in e1.terms.items():
             for n2, c2 in e2.terms.items():
-                oracle = oracle + (c1 * c2) * kontsevich_bracket(n1, n2, d)
+                for neck, v in kontsevich_bracket(n1, n2, d).terms.items():
+                    terms[neck] = terms.get(neck, 0) + c1 * c2 * v
+        oracle = NecklaceElement(terms)
         agree = oracle == result
         names = None
     else:
@@ -157,7 +159,7 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    nmax = args.nmax or args.max_degree or 8
+    nmax = (args.max_degree or 8) if args.nmax is None else args.nmax
     rows = table1(nmax)
     agree = {}
     for row in rows:
@@ -406,6 +408,13 @@ def cmd_decompose(args) -> int:
     return 0 if agree else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.lstrip("+-").isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -436,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bracket)
 
     p = add_parser("table1", help="highest weight multiplicities by degree")
-    p.add_argument("nmax", type=int, nargs="?", default=None)
+    p.add_argument("nmax", type=_positive_int, nargs="?", default=None)
     p.set_defaults(func=cmd_table1)
 
     p = add_parser("table2", help="bracket table of the five trace generators")

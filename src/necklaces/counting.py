@@ -2,7 +2,9 @@
 
 The two routes are independent: the formulas go through gcd sums and Moebius
 inversion, the enumeration walks the prenecklace tree (FKM order) and never
-canonicalizes a word.
+canonicalizes a word.  One walk serves both the enumeration and the count; it
+hands each necklace to a visitor as its reused symbol array, so counting
+allocates nothing per necklace.
 """
 
 from __future__ import annotations
@@ -103,16 +105,14 @@ def binary_necklace_count(n: int, m) -> int:
 
 
 def _prenecklace_walk(k: int, n: int, visit):
-    """FKM traversal; calls visit(symbols) for each necklace, in lex order."""
-    if n == 0:
-        visit(())
-        return
+    """FKM traversal; calls visit(a) for each necklace, in lex order, with the
+    necklace's symbols in a[1:].  The list a is reused from call to call."""
     a = [0] * (n + 1)
 
     def gen(t, p):
         if t > n:
             if n % p == 0:
-                visit(tuple(a[1:]))
+                visit(a)
             return
         a[t] = a[t - p]
         gen(t + 1, p)
@@ -130,8 +130,8 @@ def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
     out: list[Necklace] = []
     letters = [Letter.from_code(c) for c in range(2 * d)]
 
-    def visit(symbols):
-        out.append(Necklace(Word(letters[s] for s in symbols)))
+    def visit(a):
+        out.append(Necklace(Word(letters[s] for s in a[1:])))
 
     _prenecklace_walk(2 * d, n, visit)
     return out
@@ -139,24 +139,11 @@ def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
 
 def necklace_count_by_enumeration(d: int, n: int) -> int:
     """Count necklaces by walking the FKM tree, without materializing words."""
-    if n == 0:
-        return 1
-    k = 2 * d
     count = 0
-    a = [0] * (n + 1)
 
-    # same walk as _prenecklace_walk, kept allocation-free for large n
-    def gen(t, p):
+    def visit(a):
         nonlocal count
-        if t > n:
-            if n % p == 0:
-                count += 1
-            return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        for j in range(a[t - p] + 1, k):
-            a[t] = j
-            gen(t + 1, t)
+        count += 1
 
-    gen(1, 1)
+    _prenecklace_walk(2 * d, n, visit)
     return count

@@ -1,8 +1,11 @@
 """Exact linear combinations: free-algebra elements, necklaces, tensors.
 
-All coefficients are fractions.Fraction; zero coefficients are pruned
-eagerly, so the empty combination is the canonical zero.  Every value is
-immutable after construction and all operations are pure.
+All coefficients are fractions.Fraction.  _Combination is the package's one
+sparse-map core (multipoly.Polynomial builds on it too), and its constructor
+is the only place that prunes zero coefficients: operations accumulate into
+a plain dict with out[k] = out.get(k, 0) + c and hand it to the constructor,
+so the empty combination is the canonical zero.  Every value is immutable
+after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ from .words import EMPTY_WORD, Letter, Word, canonical_rotation, format_word, pa
 def _coeff(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, (int, str)):
         return Fraction(c)
     raise TypeError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
 
 
 class _Combination:
-    """Shared machinery for finite maps basis-key -> Fraction."""
+    """Shared machinery for finite maps basis-key -> Fraction; the
+    constructor drops zero coefficients."""
 
     __slots__ = ("terms",)
 
@@ -60,11 +62,7 @@ class _Combination:
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + v
         return type(self)(out)
 
     def __sub__(self, other):
@@ -127,11 +125,7 @@ class FreeElement(_Combination):
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 k = wa * wb
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                out[k] = out.get(k, 0) + ca * cb
         return FreeElement(out)
 
     def __pow__(self, n: int):
@@ -171,7 +165,10 @@ class Necklace:
             return w
         if isinstance(w, str):
             w = parse_word(w)
-        return cls(canonical_rotation(w))
+        # canonical by construction, so skip the check in __init__
+        neck = object.__new__(cls)
+        object.__setattr__(neck, "representative", canonical_rotation(w))
+        return neck
 
     @property
     def degree(self) -> int:
@@ -211,9 +208,6 @@ class NecklaceElement(_Combination):
     def degrees(self):
         return sorted({n.degree for n in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def __repr__(self):
         return format_element(self)
 
@@ -226,11 +220,7 @@ def project_to_necklace(e: FreeElement) -> NecklaceElement:
     out = {}
     for w, c in e.terms.items():
         k = Necklace.of(w)
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
+        out[k] = out.get(k, 0) + c
     return NecklaceElement(out)
 
 
@@ -270,11 +260,7 @@ class TensorElement(_Combination):
         out = {}
         for (u, v), c in self.terms.items():
             k = u * v
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+            out[k] = out.get(k, 0) + c
         return FreeElement(out)
 
     def __repr__(self):
@@ -328,7 +314,7 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
         else:
             buf += ch
     terms.append(buf)
-    out = FreeElement()
+    out: dict = {}
     for term in terms:
         term = term.strip()
         sign = 1
@@ -344,8 +330,8 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
             if term.startswith("*"):
                 term = term[1:].strip()
         w = parse_word(term, alphabet) if term else EMPTY_WORD
-        out = out + FreeElement.of(w, sign * coeff)
-    return out
+        out[w] = out.get(w, 0) + sign * coeff
+    return FreeElement(out)
 
 
 def _format_terms(pairs, names=None) -> str:

@@ -5,14 +5,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination with exact arithmetic."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+def _eliminate(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of m, in place; returns the
+    pivot columns.  Columns past ncols (an augmented b) are carried along."""
+    nrows = len(m)
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -23,10 +24,14 @@ def rank(rows: list[list[Fraction]]) -> int:
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination with exact arithmetic."""
+    m = [list(map(Fraction, r)) for r in rows]
+    return len(_eliminate(m, len(m[0]) if m else 0))
 
 
 def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -35,32 +40,14 @@ def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     Returns None if the system is inconsistent; raises if the solution is
     not unique.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None  # inconsistent
+    ncols = len(a[0]) if a else 0
+    m = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(len(a))]
+    pivots = _eliminate(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None  # inconsistent
     if len(pivots) < ncols:
         raise ValueError("solution is not unique (column rank deficient)")
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
     return x

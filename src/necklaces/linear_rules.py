@@ -12,6 +12,7 @@ a Jacobi-consistent bracket.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -56,21 +57,20 @@ class StructureConstants:
         return self.a.get((i, j, k), Fraction(0))
 
     def _validate(self):
-        n = self.dim
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    for s in range(1, n + 1):
-                        left = sum(
-                            self.coefficient(i, j, t) * self.coefficient(t, k, s)
-                            for t in range(1, n + 1)
-                        )
-                        right = sum(
-                            self.coefficient(j, k, t) * self.coefficient(i, t, s)
-                            for t in range(1, n + 1)
-                        )
-                        if left != right:
-                            raise AssociativityError(i, j, k, s)
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j, k), v in self.a.items():
+            rows.setdefault((i, j), {})[k] = v
+        for i, j, k in itertools.product(range(1, self.dim + 1), repeat=3):
+            diff: dict[int, Fraction] = {}  # (x_i x_j) x_k - x_i (x_j x_k)
+            for t, c in rows.get((i, j), {}).items():
+                for s, c2 in rows.get((t, k), {}).items():
+                    diff[s] = diff.get(s, 0) + c * c2
+            for t, c in rows.get((j, k), {}).items():
+                for s, c2 in rows.get((i, t), {}).items():
+                    diff[s] = diff.get(s, 0) - c * c2
+            bad = [s for s, v in diff.items() if v]
+            if bad:
+                raise AssociativityError(i, j, k, min(bad))
 
     def commutator(self, i: int, j: int) -> dict[int, Fraction]:
         """[x_i, x_j] as coefficients on the basis."""

@@ -1,29 +1,21 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Monomials are sorted tuples of (variable name, exponent) pairs; coefficients
-are fractions.Fraction.  Printing uses graded lexicographic order so output
-is deterministic.  This is deliberately plain dictionary arithmetic: the
-matrices and identities in this package stay small, and exactness matters
-more than speed.
+are fractions.Fraction.  Polynomial is an elements._Combination, so it
+shares that class's zero pruning, addition, negation and scaling and only
+adds what is particular to monomials.  Printing uses graded lexicographic
+order so output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .elements import _Combination
+
 Monomial = tuple[tuple[str, int], ...]
 
 _ONE: Monomial = ()
-
-
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -46,20 +38,11 @@ def _mono_key(m: Monomial):
     return (-_mono_degree(m), tuple((name, -e) for name, e in m))
 
 
-class Polynomial:
-    __slots__ = ("terms",)
+class Polynomial(_Combination):
+    """A finite map Monomial -> Fraction; int and Fraction operands act as
+    constant polynomials."""
 
-    def __init__(self, terms=None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coeff(c)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -77,73 +60,41 @@ class Polynomial:
             return cls.constant(1)
         return cls({((name, power),): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __hash__ = _Combination.__hash__
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return Polynomial(out)
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return super().__sub__(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return Polynomial()
-            return Polynomial({m: c * v for m, v in self.terms.items()})
+            return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                out[m] = out.get(m, 0) + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self * (Fraction(1) / _coeff(c))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -181,16 +132,12 @@ class Polynomial:
             else:
                 exps[name] = e - 1
             mono = tuple(sorted(exps.items()))
-            s = out.get(mono, 0) + c * e
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+            out[mono] = out.get(mono, 0) + c * e
         return Polynomial(out)
 
     def substitute(self, mapping: dict[str, "Polynomial | Fraction | int"]) -> "Polynomial":
         """Simultaneous substitution of variables by polynomials or scalars."""
-        out = Polynomial.zero()
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             term = Polynomial.constant(c)
             for name, e in m:
@@ -200,8 +147,9 @@ class Polynomial:
                 elif not isinstance(val, Polynomial):
                     val = Polynomial.constant(val)
                 term = term * val**e
-            out = out + term
-        return out
+            for mono, v in term.terms.items():
+                out[mono] = out.get(mono, 0) + v
+        return Polynomial(out)
 
     @classmethod
     def parse(cls, text: str, names) -> "Polynomial":
@@ -239,10 +187,10 @@ class Polynomial:
                 raise ValueError(f"cannot parse polynomial at {text[start:]!r}")
             return cls.constant(Fraction(text[start:pos]))
 
-        out = cls.zero()
+        out: dict[Monomial, Fraction] = {}
         skip_ws()
         if not text.strip() or text.strip() == "0":
-            return out
+            return cls()
         while pos < n:
             sign = 1
             skip_ws()
@@ -259,8 +207,9 @@ class Polynomial:
                 skip_ws()
                 term = term * parse_factor()
                 skip_ws()
-            out = out + term
-        return out
+            for mono, v in term.terms.items():
+                out[mono] = out.get(mono, 0) + v
+        return cls(out)
 
     def __repr__(self):
         if not self.terms:
@@ -288,10 +237,11 @@ class Polynomial:
 
 def symplectic_poisson(f: Polynomial, g: Polynomial, pairs) -> Polynomial:
     """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i) for (q_i, p_i) pairs."""
-    out = Polynomial.zero()
+    out: dict[Monomial, Fraction] = {}
     for q, p in pairs:
-        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
-    return out
+        for m, c in (f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)).terms.items():
+            out[m] = out.get(m, 0) + c
+    return Polynomial(out)
 
 
 class PolyMatrix:

@@ -69,7 +69,7 @@ class PoissonPolyAlgebra:
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """{f, g} = sum_{i,j} df/dg_i dg/dg_j {g_i, g_j}."""
-        out = Polynomial.zero()
+        out: dict = {}
         fd = [f.diff(name) for name in self.generators]
         gd = [g.diff(name) for name in self.generators]
         for i, fi in enumerate(fd):
@@ -78,8 +78,9 @@ class PoissonPolyAlgebra:
             for j, gj in enumerate(gd):
                 if gj.is_zero or self.table[i][j].is_zero:
                     continue
-                out = out + fi * gj * self.table[i][j]
-        return out
+                for m, c in (fi * gj * self.table[i][j]).terms.items():
+                    out[m] = out.get(m, 0) + c
+        return Polynomial(out)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .elements import FreeElement, Necklace, NecklaceElement
+from .elements import Necklace
 from .words import Word
 
 
@@ -18,25 +17,5 @@ def random_word(r: random.Random, alphabet, min_len=0, max_len=5) -> Word:
     return Word(r.choice(alphabet) for _ in range(n))
 
 
-def random_word_of_length(r: random.Random, alphabet, n: int) -> Word:
-    return Word(r.choice(alphabet) for _ in range(n))
-
-
 def random_necklace(r: random.Random, alphabet, min_len=0, max_len=5) -> Necklace:
     return Necklace.of(random_word(r, alphabet, min_len, max_len))
-
-
-def random_free_element(r: random.Random, alphabet, terms=3, max_len=4) -> FreeElement:
-    out = FreeElement()
-    for _ in range(terms):
-        c = Fraction(r.randrange(-5, 6), r.randrange(1, 4))
-        out = out + FreeElement.of(random_word(r, alphabet, 0, max_len), c)
-    return out
-
-
-def random_necklace_element(r: random.Random, alphabet, terms=3, max_len=4) -> NecklaceElement:
-    out = NecklaceElement()
-    for _ in range(terms):
-        c = Fraction(r.randrange(-5, 6), r.randrange(1, 4))
-        out = out + NecklaceElement.of(random_necklace(r, alphabet, 0, max_len), c)
-    return out

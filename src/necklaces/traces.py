@@ -63,10 +63,11 @@ def trace_of(e, mats) -> Polynomial:
         from .elements import project_to_necklace
 
         e = project_to_necklace(e)
-    out = Polynomial.zero()
+    out: dict = {}
     for neck, c in e.terms.items():
-        out = out + word_matrix(neck.representative, mats).trace() * c
-    return out
+        for m, v in word_matrix(neck.representative, mats).trace().terms.items():
+            out[m] = out.get(m, 0) + c * v
+    return Polynomial(out)
 
 
 def abelianize(e) -> Polynomial:
@@ -74,13 +75,14 @@ def abelianize(e) -> Polynomial:
     variables named after the letters."""
     if isinstance(e, (Necklace, Word, str)):
         e = NecklaceElement.of(Necklace.of(e))
-    out = Polynomial.zero()
+    out: dict = {}
     for neck, c in e.terms.items():
         mono = Polynomial.constant(c)
         for a in neck.representative:
             mono = mono * Polynomial.variable(a.name)
-        out = out + mono
-    return out
+        for m, v in mono.terms.items():
+            out[m] = out.get(m, 0) + v
+    return Polynomial(out)
 
 
 @lru_cache(maxsize=None)
@@ -138,15 +140,15 @@ def induced_bracket(w1, w2, n: int) -> InducedBracket:
         return InducedBracket(raw, abelianize(raw), True, 1)
     if n != 2:
         raise ValueError("only n = 1 and n = 2 are supported")
-    expr = Polynomial.zero()
+    expr: dict = {}
     for neck, c in raw.terms.items():
         if neck not in _NECKLACE_TO_GENERATOR:
             return InducedBracket(raw, None, False, 2)
         gen = _NECKLACE_TO_GENERATOR[neck]
-        expr = expr + (
-            Polynomial.constant(2 * c) if gen is None else Polynomial.variable(gen) * c
-        )
-    return InducedBracket(raw, expr, True, 2)
+        term = Polynomial.constant(2 * c) if gen is None else Polynomial.variable(gen) * c
+        for m, v in term.terms.items():
+            expr[m] = expr.get(m, 0) + v
+    return InducedBracket(raw, Polynomial(expr), True, 2)
 
 
 _TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
@@ -214,7 +216,7 @@ def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
         e = NecklaceElement.of(Necklace.of(e))
     gens = generator_polynomials()
     gen_list = [gens[name] for name in GENERATORS]
-    result = Polynomial.zero()
+    terms: dict = {}
     for degree, part in _homogeneous_parts(e).items():
         if degree > max_degree:
             raise ValueError(f"degree {degree} exceeds the rewriting bound {max_degree}")
@@ -250,7 +252,9 @@ def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
             for name, ex in zip(GENERATORS, exps):
                 if ex:
                     mono = mono * Polynomial.variable(name, ex)
-            result = result + mono
+            for m, v in mono.terms.items():
+                terms[m] = terms.get(m, 0) + v
+    result = Polynomial(terms)
     # certify: substituting the generator polynomials reproduces the trace
     check = result.substitute(generator_polynomials())
     if check != trace_of(e, list(_mats2())):

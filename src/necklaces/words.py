@@ -117,9 +117,6 @@ class Word:
     def degree(self) -> int:
         return len(self.letters)
 
-    def degree_of(self, letter: Letter) -> int:
-        return sum(1 for a in self.letters if a is letter)
-
     def deg_unstarred(self) -> int:
         return sum(1 for a in self.letters if not a.starred)
 

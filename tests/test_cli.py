@@ -144,3 +144,12 @@ def test_output_to_file(tmp_path, capsys):
 def test_csv_not_defined_everywhere(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "classify", "0", "0", "0", "0", "0", "--format", "csv")
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_table1_rejects_nmax_below_one(capsys, nmax):
+    with pytest.raises(SystemExit) as e:
+        main(["table1", nmax])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"expected an integer >= 1, got '{nmax}'")

@@ -163,3 +163,42 @@ def test_json_roundtrip():
         '{"dim": 1, "a": [[1, 1, 1, "1/1"]]}'
     )
     assert loaded.coefficient(1, 1, 1) == 1
+
+
+def _dense_first_witness(dim, table):
+    """First (i, j, k, s), in loop order, where (x_i x_j) x_k and
+    x_i (x_j x_k) differ in the x_s coordinate; None if associative.
+    A plain dense loop kept as an oracle for StructureConstants."""
+    idx = range(1, dim + 1)
+    a = [[[Fraction(table.get((i, j, k), 0)) for k in idx] for j in idx] for i in idx]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for s in range(dim):
+                    left = sum(a[i][j][t] * a[t][k][s] for t in range(dim))
+                    right = sum(a[j][k][t] * a[i][t][s] for t in range(dim))
+                    if left != right:
+                        return (i + 1, j + 1, k + 1, s + 1)
+    return None
+
+
+@pytest.mark.parametrize("n, tables", [(2, 60), (3, 12)])
+def test_validation_matches_dense_associator(n, tables):
+    dim = n * n
+    r = rng(100 + n)
+    verdicts = []
+    for trial in range(tables):
+        table = dict(gl_constants(n).a)
+        for _ in range(min(trial, 3)):  # trial 0 keeps the associative table
+            key = tuple(r.randrange(1, dim + 1) for _ in range(3))
+            delta = Fraction(r.choice([-2, -1, 1, 2]), r.choice([1, 2]))
+            table[key] = table.get(key, Fraction(0)) + delta
+        expected = _dense_first_witness(dim, table)
+        try:
+            StructureConstants(dim, table)
+            got = None
+        except AssociativityError as exc:
+            got = exc.indices
+        assert got == expected, (table, got, expected)
+        verdicts.append(got is None)
+    assert any(verdicts) and not all(verdicts)

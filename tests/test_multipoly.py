@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
+from necklaces.sampling import rng
 
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
@@ -94,3 +95,31 @@ def test_cayley_hamilton_2x2():
     )
     lhs = a * a - a * tr + PolyMatrix.identity(2) * det
     assert all(e.is_zero for row in lhs.entries for e in row)
+
+
+def test_polynomial_is_a_dict_key():
+    p = (X + 1) * Y
+    table = {p: "p", Polynomial.zero(): "zero"}
+    assert table[X * Y + Y] == "p"
+    assert table[X - X] == "zero"
+
+
+def test_equality_with_scalars():
+    assert Polynomial.constant(3) == 3
+    assert X - X + 3 == 3
+    assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
+    assert Polynomial.zero() == 0
+    assert X != 3 and X + 3 != 3
+
+
+def test_parse_repr_roundtrip_seeded():
+    r = rng(11)
+    names = ["tr(x)", "tr(x*)", "tr((x*)^2)", "H", "x"]
+    for _ in range(60):
+        p = Polynomial.zero()
+        for _ in range(r.randrange(0, 5)):
+            term = Polynomial.constant(Fraction(r.randrange(-6, 7), r.randrange(1, 4)))
+            for _ in range(r.randrange(0, 3)):
+                term = term * Polynomial.variable(r.choice(names), r.randrange(1, 4))
+            p = p + term
+        assert Polynomial.parse(repr(p), names) == p
