@@ -21,6 +21,7 @@ from .elements import (
     NecklaceElement,
     TensorElement,
     TripleTensor,
+    _as_necklace_element,
     _Combination,
     project_to_necklace,
 )
@@ -132,18 +133,6 @@ def loday_bracket(rule: BracketRule, a, b) -> FreeElement:
     unchanged when the first argument is rotated cyclically.
     """
     return double_bracket(rule, a, b).collapse()
-
-
-def _as_necklace_element(e) -> NecklaceElement:
-    if isinstance(e, NecklaceElement):
-        return e
-    if isinstance(e, Necklace):
-        return NecklaceElement.of(e)
-    if isinstance(e, FreeElement):
-        return project_to_necklace(e)
-    if isinstance(e, (Word, str)):
-        return NecklaceElement.of(Necklace.of(e))
-    raise TypeError(f"expected a necklace element, got {type(e).__name__}")
 
 
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:

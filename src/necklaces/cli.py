@@ -4,6 +4,11 @@ Subcommands: dims, bracket, table1, table2, center, verify, classify, ngl,
 decompose.  Global flags: --format {text,json,csv}, --seed N, --max-degree N,
 --output PATH.  All output is deterministic for fixed flags and seed; exact
 rationals are serialized as strings "p/q".
+
+Each cmd_* returns (text lines, JSON payload, csv lines or None, verdict);
+main writes the output and sets the exit status: 0 when every check passes,
+1 when a check fails, 2 for a usage or input error, reported as one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from .poisson import casimir_check, change_coordinates
 from .report import CheckReport
 from .sampling import random_word, rng
 from .sl2 import decompose_bruteforce, decompose_by_formula, table1
-from .traces import classify_point, table2, verify_cayley_hamilton
-from .words import format_word, letters, unstarred
+from .traces import center_witness, classify_point, table2, verify_cayley_hamilton
+from .words import Word, format_word, letters, unstarred
 
 
 def _necklace_element_json(e: NecklaceElement, names=None):
@@ -54,12 +59,17 @@ def _necklace_element_json(e: NecklaceElement, names=None):
     }
 
 
-def _emit(args, text_lines, payload, csv_lines=None):
+def _error(args, message) -> int:
+    sys.stderr.write(f"necklaces {args.command}: error: {message}\n")
+    return 2
+
+
+def _emit(args, text_lines, payload, csv_lines):
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         if csv_lines is None:
-            raise SystemExit("csv output is not defined for this command")
+            raise SystemExit(_error(args, "csv output is not defined for this command"))
         body = "\n".join(csv_lines) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
@@ -84,7 +94,7 @@ def _report_payload(report: CheckReport):
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args):
     d, kmax = args.d, args.kmax
     rows = []
     for k in range(0, kmax + 1):
@@ -107,59 +117,44 @@ def cmd_dims(args) -> int:
         ],
         "ok": ok,
     }
-    _emit(args, text, payload, csv)
-    return 0 if ok else 1
+    return text, payload, csv, ok
 
 
-def _load_rule(spec: str):
-    if spec == "canonical":
-        return None  # resolved later once d is known
-    if spec.startswith("ngl:"):
-        return ngl(int(spec.split(":", 1)[1]))
-    with open(spec) as fh:
-        return linear_rule(StructureConstants.from_json(fh.read()))
-
-
-def cmd_bracket(args) -> int:
-    if args.rule == "canonical":
-        e1 = project_to_necklace(parse_element(args.w1))
-        e2 = project_to_necklace(parse_element(args.w2))
+def cmd_bracket(args):
+    canonical = args.rule == "canonical"
+    if args.rule.startswith("ngl:"):
+        rule = ngl(int(args.rule.split(":", 1)[1]))
+    elif not canonical:
+        with open(args.rule) as fh:
+            rule = linear_rule(StructureConstants.from_json(fh.read()))
+    names = None if canonical else rule.display_names()
+    alphabet = {v: k for k, v in names.items()} if names else None
+    e1, e2 = (project_to_necklace(parse_element(w, alphabet)) for w in (args.w1, args.w2))
+    if canonical:
         d = args.d or max(
             (n.representative.max_index() for e in (e1, e2) for n in e.terms),
             default=1,
         )
         rule = BracketRule.canonical(d)
-        result = necklace_bracket(rule, e1, e2)
-        terms = {}
-        for n1, c1 in e1.terms.items():
-            for n2, c2 in e2.terms.items():
-                for neck, v in kontsevich_bracket(n1, n2, d).terms.items():
-                    terms[neck] = terms.get(neck, 0) + c1 * c2 * v
-        oracle = NecklaceElement(terms)
-        agree = oracle == result
-        names = None
-    else:
-        rule = _load_rule(args.rule)
-        names = rule.display_names()
-        alphabet = {v: k for k, v in names.items()} if names else None
-        e1 = project_to_necklace(parse_element(args.w1, alphabet))
-        e2 = project_to_necklace(parse_element(args.w2, alphabet))
-        result = necklace_bracket(rule, e1, e2)
-        oracle, agree = None, None
-
+    result = necklace_bracket(rule, e1, e2)
     text = [f"bracket: {format_element(result, names)}"]
     payload = {"bracket": _necklace_element_json(result, names)}
-    if oracle is not None:
-        text.append(f"splice oracle: {format_element(oracle, names)}")
-        text.append("agree" if agree else "DISAGREE")
-        payload["oracle"] = _necklace_element_json(oracle, names)
-        payload["agree"] = agree
-    _emit(args, text, payload)
-    return 0 if agree in (True, None) else 1
+    if not canonical:
+        return text, payload, None, True
+    terms = {}
+    for n1, c1 in e1.terms.items():
+        for n2, c2 in e2.terms.items():
+            for neck, v in kontsevich_bracket(n1, n2, d).terms.items():
+                terms[neck] = terms.get(neck, 0) + c1 * c2 * v
+    oracle = NecklaceElement(terms)
+    agree = oracle == result
+    text += [f"splice oracle: {format_element(oracle)}", "agree" if agree else "DISAGREE"]
+    payload.update(oracle=_necklace_element_json(oracle), agree=agree)
+    return text, payload, None, agree
 
 
-def cmd_table1(args) -> int:
-    nmax = (args.max_degree or 8) if args.nmax is None else args.nmax
+def cmd_table1(args):
+    nmax = args.nmax or args.max_degree or 8
     rows = table1(nmax)
     agree = {}
     for row in rows:
@@ -190,8 +185,7 @@ def cmd_table1(args) -> int:
         ],
         "ok": ok,
     }
-    _emit(args, text, payload, csv)
-    return 0 if ok else 1
+    return text, payload, csv, ok
 
 
 AUDITED_CELL_NOTE = (
@@ -200,7 +194,7 @@ AUDITED_CELL_NOTE = (
 )
 
 
-def cmd_table2(args) -> int:
+def cmd_table2(args):
     t = table2()
     strings = t.strings()
     ok = t.is_antisymmetric()
@@ -227,11 +221,10 @@ def cmd_table2(args) -> int:
             "note": AUDITED_CELL_NOTE,
         },
     }
-    _emit(args, text, payload, csv)
-    return 0 if ok else 1
+    return text, payload, csv, ok
 
 
-def cmd_center(args) -> int:
+def cmd_center(args):
     d, n, bound = args.d, args.n, args.bound
     report = center_check(d, n, bound)
     element = center_element(d, n)
@@ -250,8 +243,6 @@ def cmd_center(args) -> int:
         "violations": len(report.violations),
     }
     if d == 1:
-        from .traces import center_witness
-
         lam = Fraction(args.witness_lambda)
         value = center_witness(n, lam) if n >= 1 else Fraction(0)
         text.append(f"witness value at lambda={lam}: {value}")
@@ -259,68 +250,57 @@ def cmd_center(args) -> int:
     ok = report.ok
     text.append("pass" if ok else "FAIL")
     payload["ok"] = ok
-    _emit(args, text, payload)
-    return 0 if ok else 1
+    return text, payload, None, ok
+
+
+def _sampled(report, label, r, alphabet, top, holds, count):
+    """Check `holds` on `count` random word triples of length 0..top and add
+    one entry; a failure names the first failing triple."""
+    triples = ([random_word(r, alphabet, 0, top) for _ in range(3)] for _ in range(count))
+    failed = [t for t in triples if not holds(*t)]
+    detail = ""
+    if failed:
+        witness = ", ".join(format_word(w) for w in failed[0])
+        detail = f"{len(failed)} of {count} triples fail, first ({witness})"
+    report.add(label, not failed, detail)
 
 
 def _suite_jacobi(seed: int, max_degree: int) -> CheckReport:
     report = CheckReport("double Jacobi identity")
     r = rng(seed)
-    for d in (1, 2):
-        rule = BracketRule.canonical(d)
-        alpha = letters(d)
-        bad = 0
-        budget = max(1, max_degree // 3)
-        for _ in range(120):
-            triple = [random_word(r, alpha, 0, budget) for _ in range(3)]
-            if not verify_double_jacobi(rule, *triple).is_zero:
-                bad += 1
-        report.add(f"canonical rule, d={d}, 120 sampled triples", bad == 0)
-    rule = ngl(2)
-    alpha = unstarred(4)
-    bad = 0
-    for _ in range(120):
-        triple = [random_word(r, alpha, 0, 2) for _ in range(3)]
-        if not verify_double_jacobi(rule, *triple).is_zero:
-            bad += 1
-    report.add("matrix-algebra linear rule, 120 sampled triples", bad == 0)
+    length = max(1, max_degree // 3)
+    for label, rule, alphabet, top in (
+        ("canonical rule, d=1, 120 sampled triples", BracketRule.canonical(1), letters(1), length),
+        ("canonical rule, d=2, 120 sampled triples", BracketRule.canonical(2), letters(2), length),
+        ("matrix-algebra linear rule, 120 sampled triples", ngl(2), unstarred(4), 2),
+    ):
+        holds = lambda a, b, c: verify_double_jacobi(rule, a, b, c).is_zero
+        _sampled(report, label, r, alphabet, top, holds, 120)
     return report
 
 
 def _suite_loday(seed: int, max_degree: int) -> CheckReport:
     report = CheckReport("Loday identity and commutator triviality")
-    r = rng(seed)
     rule = BracketRule.canonical(1)
-    alpha = letters(1)
-    bad = 0
-    for _ in range(100):
-        triple = [random_word(r, alpha, 0, max(1, max_degree // 3)) for _ in range(3)]
-        got = verify_loday_properties(rule, *triple)
-        if got != (True, True):
-            bad += 1
-    report.add("canonical rule d=1, 100 sampled triples", bad == 0)
+    holds = lambda a, b, c: verify_loday_properties(rule, a, b, c) == (True, True)
+    label = "canonical rule d=1, 100 sampled triples"
+    _sampled(report, label, rng(seed), letters(1), max(1, max_degree // 3), holds, 100)
     return report
 
 
 def _suite_grading(seed: int, max_degree: int) -> CheckReport:
     report = CheckReport("bracket grading")
     r = rng(seed)
-    rule = BracketRule.canonical(1)
     necks = [n for k in range(max_degree + 1) for n in enumerate_necklaces(1, k)]
-    pairs = [(r.choice(necks), r.choice(necks)) for _ in range(150)]
-    got = check_grading(rule, pairs)
-    report.add("canonical rule has degree -2", got.ok)
-    rule = ngl(2)
-    alpha = unstarred(4)
-    pairs = [
-        (
-            Necklace.of(random_word(r, alpha, 1, 3)),
-            Necklace.of(random_word(r, alpha, 1, 3)),
-        )
-        for _ in range(150)
-    ]
-    got = check_grading(rule, pairs)
-    report.add("linear rule has degree -1", got.ok)
+    canonical_pairs = [(r.choice(necks), r.choice(necks)) for _ in range(150)]
+    bead = lambda: Necklace.of(random_word(r, unstarred(4), 1, 3))
+    linear_pairs = [(bead(), bead()) for _ in range(150)]
+    for label, rule, pairs in (
+        ("canonical rule has degree -2", BracketRule.canonical(1), canonical_pairs),
+        ("linear rule has degree -1", ngl(2), linear_pairs),
+    ):
+        got = check_grading(rule, pairs)
+        report.add(label, got.ok, "" if got.ok else str(got.violations[0]))
     return report
 
 
@@ -334,7 +314,7 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [SUITES[name](args.seed, args.max_degree or 6) for name in names]
     ok = all(r.ok for r in reports)
@@ -342,11 +322,10 @@ def cmd_verify(args) -> int:
     for r in reports:
         text.extend(str(r).splitlines())
     payload = {"suites": [_report_payload(r) for r in reports], "ok": ok}
-    _emit(args, text, payload)
-    return 0 if ok else 1
+    return text, payload, None, ok
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     coords = [Fraction(v) for v in (args.X, args.Y, args.E, args.F, args.H)]
     got = classify_point(coords)
     text = [str(got)]
@@ -356,11 +335,10 @@ def cmd_classify(args) -> int:
         "casimir": str(got.casimir),
         "primed": [str(v) for v in got.primed],
     }
-    _emit(args, text, payload)
-    return 0
+    return text, payload, None, True
 
 
-def cmd_ngl(args) -> int:
+def cmd_ngl(args):
     n = args.n
     rule = ngl(n)
     names = matrix_unit_names(n)
@@ -371,8 +349,6 @@ def cmd_ngl(args) -> int:
     units = sorted(names, key=lambda a: a.code)
     for a in units:
         for b in units:
-            from .words import Word
-
             got = necklace_bracket(rule, Word([a]), Word([b]))
             pairs.append(
                 {
@@ -384,11 +360,10 @@ def cmd_ngl(args) -> int:
             text.append(f"  {{{names[a]}, {names[b]}}} = {format_element(got, names)}")
     text.append(f"matches matrix commutators: {report.ok}")
     payload = {"n": n, "pairs": pairs, "matches_commutators": report.ok}
-    _emit(args, text, payload)
-    return 0 if report.ok else 1
+    return text, payload, None, report.ok
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     n = args.n
     formula = decompose_by_formula(n)
     oracle = decompose_bruteforce(n)
@@ -404,8 +379,7 @@ def cmd_decompose(args) -> int:
         "dimension": formula.dimension(),
         "oracle_agrees": agree,
     }
-    _emit(args, text, payload)
-    return 0 if agree else 1
+    return text, payload, None, agree
 
 
 def _positive_int(text: str) -> int:
@@ -415,14 +389,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like main's input errors; -h still prints the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument("--max-degree", type=int, default=None)
+    common.add_argument("--max-degree", type=_positive_int, default=None)
     common.add_argument("--output", default=None, help="write output to this path")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="necklaces",
         description="Exact computations in necklace Lie algebras of free algebras.",
         parents=[common],
@@ -478,9 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        text, payload, csv_lines, ok = args.func(args)
+        _emit(args, text, payload, csv_lines)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        return _error(args, exc)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

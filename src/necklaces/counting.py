@@ -92,7 +92,10 @@ def lyndon_count(length: int, marked) -> int:
 
 
 def binary_necklace_count(n: int, m) -> int:
-    """Binary necklaces of length n with m marked beads, via aperiodic ones."""
+    """Binary necklaces of length n with m marked beads, via aperiodic ones;
+    the empty necklace counts once, as in necklace_dimension."""
+    if n == 0:
+        return int(m == 0)
     m = Fraction(m)
     if m.denominator != 1:
         return 0

@@ -55,7 +55,8 @@ class _Combination:
         return type(self) is type(other) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # the empty combination equals 0, so it hashes like 0
+        return hash(frozenset(self.terms.items())) if self.terms else 0
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -101,6 +102,20 @@ class _Combination:
         return self.terms.get(key, Fraction(0))
 
 
+def _power(base, n: int, one):
+    """base**n by square-and-multiply; `one` is the multiplicative unit."""
+    if n < 0:
+        raise ValueError("negative powers are not supported")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class FreeElement(_Combination):
     """An element of the free algebra: finite map Word -> Fraction."""
 
@@ -129,12 +144,7 @@ class FreeElement(_Combination):
         return FreeElement(out)
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = FreeElement.unit()
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, FreeElement.unit())
 
     def commutator(self, other: "FreeElement") -> "FreeElement":
         return self * other - other * self
@@ -222,6 +232,18 @@ def project_to_necklace(e: FreeElement) -> NecklaceElement:
         k = Necklace.of(w)
         out[k] = out.get(k, 0) + c
     return NecklaceElement(out)
+
+
+def _as_necklace_element(e) -> NecklaceElement:
+    if isinstance(e, NecklaceElement):
+        return e
+    if isinstance(e, Necklace):
+        return NecklaceElement.of(e)
+    if isinstance(e, FreeElement):
+        return project_to_necklace(e)
+    if isinstance(e, (Word, str)):
+        return NecklaceElement.of(Necklace.of(e))
+    raise TypeError(f"expected a necklace element, got {type(e).__name__}")
 
 
 class TensorElement(_Combination):
@@ -334,26 +356,29 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
     return FreeElement(out)
 
 
-def _format_terms(pairs, names=None) -> str:
-    chunks = []
-    for key, c in pairs:
-        w = key.representative if isinstance(key, Necklace) else key
-        body = format_word(w, names)
-        if c == 1:
+def _signed_sum(terms) -> str:
+    """Render (coefficient, body) pairs as "b1 + 2*b2 - b3": coefficients 1
+    and -1 are left out and an empty body is a constant; no terms give "0"."""
+    text = ""
+    for c, body in terms:
+        if not body:
+            chunk = str(c)
+        elif c == 1:
             chunk = body
         elif c == -1:
             chunk = f"-{body}"
         else:
             chunk = f"{c}*{body}"
-        chunks.append(chunk)
-    if not chunks:
-        return "0"
-    text = chunks[0]
-    for chunk in chunks[1:]:
-        text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-    return text
+        if not text:
+            text = chunk
+        else:
+            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+    return text or "0"
 
 
 def format_element(e, names: dict[Letter, str] | None = None) -> str:
     """Render a FreeElement or NecklaceElement in the textual grammar."""
-    return _format_terms(list(e), names)
+    return _signed_sum(
+        (c, format_word(k.representative if isinstance(k, Necklace) else k, names))
+        for k, c in e
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .elements import _Combination
+from .elements import _Combination, _power, _signed_sum
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -65,7 +65,11 @@ class Polynomial(_Combination):
             other = Polynomial.constant(other)
         return super().__eq__(other)
 
-    __hash__ = _Combination.__hash__
+    def __hash__(self):
+        # a constant polynomial equals its scalar, so it hashes like it
+        if len(self.terms) == 1 and _ONE in self.terms:
+            return hash(self.terms[_ONE])
+        return super().__hash__()
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -97,16 +101,7 @@ class Polynomial(_Combination):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.constant(1))
 
     def total_degree(self) -> int:
         return max((_mono_degree(m) for m in self.terms), default=0)
@@ -212,27 +207,10 @@ class Polynomial(_Combination):
         return cls(out)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for m in sorted(self.terms, key=_mono_key):
-            c = self.terms[m]
-            body = "*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in m
-            )
-            if not body:
-                chunk = str(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{c}*{body}"
-            chunks.append(chunk)
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        return _signed_sum(
+            (self.terms[m], "*".join(name if e == 1 else f"{name}^{e}" for name, e in m))
+            for m in sorted(self.terms, key=_mono_key)
+        )
 
 
 def symplectic_poisson(f: Polynomial, g: Polynomial, pairs) -> Polynomial:
@@ -325,16 +303,7 @@ class PolyMatrix:
         )
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = PolyMatrix.identity(self.size)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, PolyMatrix.identity(self.size))
 
     def trace(self) -> Polynomial:
         return sum(

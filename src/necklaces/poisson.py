@@ -22,7 +22,7 @@ from .report import CheckReport
 class PoissonPolyAlgebra:
     __slots__ = ("generators", "table")
 
-    def __init__(self, generators, table, validate: bool = True):
+    def __init__(self, generators, table):
         gens = tuple(generators)
         k = len(gens)
         rows = [list(r) for r in table]
@@ -34,8 +34,7 @@ class PoissonPolyAlgebra:
         ]
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "table", norm)
-        if validate:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonPolyAlgebra is immutable")

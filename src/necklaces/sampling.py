@@ -1,10 +1,9 @@
-"""Seeded deterministic sampling of words and necklaces for property checks."""
+"""Seeded deterministic sampling of words for property checks."""
 
 from __future__ import annotations
 
 import random
 
-from .elements import Necklace
 from .words import Word
 
 
@@ -15,7 +14,3 @@ def rng(seed: int = 0) -> random.Random:
 def random_word(r: random.Random, alphabet, min_len=0, max_len=5) -> Word:
     n = r.randrange(min_len, max_len + 1)
     return Word(r.choice(alphabet) for _ in range(n))
-
-
-def random_necklace(r: random.Random, alphabet, min_len=0, max_len=5) -> Necklace:
-    return Necklace.of(random_word(r, alphabet, min_len, max_len))

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .brackets import BracketRule, necklace_bracket
-from .counting import binomial, divisors, enumerate_necklaces, mobius
+from .counting import binary_necklace_count, binomial, enumerate_necklaces
 from .elements import Necklace, NecklaceElement
 from .multipoly import symplectic_poisson
 from .report import CheckReport
@@ -58,21 +57,8 @@ def tensor_multiplicity(n: int, m: int) -> int:
 
 def _commutator_weight_count(n: int, m: int) -> int:
     """Dimension of the weight-(n-2m) slice of the commutator subspace:
-    words minus necklaces, organized by the period of each orbit."""
-    if m < 0 or m > n:
-        return 0
-    total = Fraction(0)
-    for ell in divisors(n):
-        if (ell * m) % n != 0:
-            continue
-        j = ell * m // n
-        inner = sum(
-            mobius(k) * binomial(ell // k, Fraction(j, k) if j else 0)
-            for k in divisors(gcd(ell, j) if j else ell)
-        )
-        total += Fraction(ell - 1, ell) * inner
-    assert total.denominator == 1
-    return int(total)
+    words minus necklaces, both counted by closed formulas."""
+    return binomial(n, m) - binary_necklace_count(n, m)
 
 
 def cn_multiplicity(n: int, m: int) -> int:
@@ -143,11 +129,11 @@ def _e_action_rank(rule, E, source: list[Necklace], target: list[Necklace]) -> i
     return linalg.rank(rows)
 
 
-def decompose_bruteforce(n: int, bound: int = DEFAULT_DEGREE_BOUND) -> WeightDecomposition:
+def decompose_bruteforce(n: int) -> WeightDecomposition:
     """Decompose the degree-n component by weight-space counting, validated
     against exact ranks of the E-action between adjacent weight spaces."""
-    if not 1 <= n <= bound:
-        raise ValueError(f"degree {n} outside the supported range 1..{bound}")
+    if not 1 <= n <= DEFAULT_DEGREE_BOUND:
+        raise ValueError(f"degree {n} outside the supported range 1..{DEFAULT_DEGREE_BOUND}")
     spaces = weight_basis(n)
     dim = {w: len(v) for w, v in spaces.items()}
     mults = {}

@@ -18,15 +18,11 @@ from functools import lru_cache
 
 from . import linalg
 from .brackets import BracketRule, center_element, necklace_bracket
-from .elements import FreeElement, Necklace, NecklaceElement
+from .elements import Necklace, NecklaceElement, _as_necklace_element
 from .multipoly import Polynomial, PolyMatrix
+from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
 from .words import Word
-
-GENERATORS = ("tr(x)", "tr(x*)", "tr(x^2)", "tr((x*)^2)", "tr(xx*)")
-
-# weighted degree of each generator: the length of the traced word
-GENERATOR_DEGREES = (1, 1, 2, 2, 2)
 
 
 def generic_matrices(d: int, n: int) -> list[PolyMatrix]:
@@ -57,14 +53,8 @@ def word_matrix(w: Word, mats) -> PolyMatrix:
 def trace_of(e, mats) -> Polynomial:
     """Trace of a necklace element on the given matrices; rotation-invariant
     and linear, with the unit necklace mapping to the matrix size."""
-    if isinstance(e, (Necklace, Word, str)):
-        e = NecklaceElement.of(Necklace.of(e))
-    if isinstance(e, FreeElement):
-        from .elements import project_to_necklace
-
-        e = project_to_necklace(e)
     out: dict = {}
-    for neck, c in e.terms.items():
+    for neck, c in _as_necklace_element(e).terms.items():
         for m, v in word_matrix(neck.representative, mats).trace().terms.items():
             out[m] = out.get(m, 0) + c * v
     return Polynomial(out)
@@ -73,10 +63,8 @@ def trace_of(e, mats) -> Polynomial:
 def abelianize(e) -> Polynomial:
     """The n = 1 trace map: each necklace becomes a commutative monomial in
     variables named after the letters."""
-    if isinstance(e, (Necklace, Word, str)):
-        e = NecklaceElement.of(Necklace.of(e))
     out: dict = {}
-    for neck, c in e.terms.items():
+    for neck, c in _as_necklace_element(e).terms.items():
         mono = Polynomial.constant(c)
         for a in neck.representative:
             mono = mono * Polynomial.variable(a.name)
@@ -132,10 +120,7 @@ class InducedBracket:
 
 def induced_bracket(w1, w2, n: int) -> InducedBracket:
     """Necklace bracket followed by the trace map tr with tr(1) = n."""
-    rule = BracketRule.canonical(1)
-    e1 = w1 if isinstance(w1, NecklaceElement) else NecklaceElement.of(Necklace.of(w1))
-    e2 = w2 if isinstance(w2, NecklaceElement) else NecklaceElement.of(Necklace.of(w2))
-    raw = necklace_bracket(rule, e1, e2)
+    raw = necklace_bracket(BracketRule.canonical(1), w1, w2)
     if n == 1:
         return InducedBracket(raw, abelianize(raw), True, 1)
     if n != 2:
@@ -212,8 +197,7 @@ def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
     """Rewrite the trace of a necklace element (degree <= max_degree) as a
     polynomial in the five generators, by exact linear solve against the
     generic-matrix evaluation.  The result is verified by substitution."""
-    if isinstance(e, (Necklace, Word, str)):
-        e = NecklaceElement.of(Necklace.of(e))
+    e = _as_necklace_element(e)
     gens = generator_polynomials()
     gen_list = [gens[name] for name in GENERATORS]
     terms: dict = {}
@@ -432,21 +416,12 @@ def classify_point(coords, tol=None) -> LeafClass:
         raise ValueError("expected coordinates (X, Y, E, F, H)")
     exact = all(isinstance(v, (int, Fraction)) for v in coords)
     xx, yy, e, f, h = (Fraction(v) if exact else v for v in coords)
-    if exact:
-        ep = e - xx * xx / Fraction(4)
-        fp = f + yy * yy / Fraction(4)
-        hp = h + xx * yy / Fraction(2)
-    else:
-        ep = e - xx * xx / 4
-        fp = f + yy * yy / 4
-        hp = h + xx * yy / 2
+    ep = e - xx * xx / 4
+    fp = f + yy * yy / 4
+    hp = h + xx * yy / 2
     casimir = hp * hp + 4 * ep * fp
-
-    if exact:
-        is_zero = lambda v: v == 0
-    else:
-        threshold = 1e-9 if tol is None else tol
-        is_zero = lambda v: abs(v) <= threshold
+    threshold = 0 if exact else (1e-9 if tol is None else tol)
+    is_zero = lambda v: abs(v) <= threshold
 
     if is_zero(ep) and is_zero(fp) and is_zero(hp):
         return LeafClass("S_0''", TAU3, casimir, (ep, fp, hp))

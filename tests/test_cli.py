@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from necklaces import cli
 from necklaces.cli import main
+from necklaces.elements import TripleTensor
+from necklaces.words import word
 
 
 def run(capsys, *argv):
@@ -142,8 +145,52 @@ def test_output_to_file(tmp_path, capsys):
 
 
 def test_csv_not_defined_everywhere(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as e:
         run(capsys, "classify", "0", "0", "0", "0", "0", "--format", "csv")
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "necklaces classify: error: csv output is not defined for this command\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "15"],
+        ["bracket", "1/0*x", "x"],
+        ["classify", "a", "0", "0", "0", "0"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/missing.json"],
+        ["bracket", "x", "x*", "--rule", "ngl:x"],
+        ["center", "1", "2", "0"],
+        ["table1", "--max-degree", "0"],
+        ["table1", "--max-degree", "-1"],
+        ["verify", "grading", "--max-degree", "-1"],
+        ["dims", "1", "3", "--output", "{tmp}/missing/dims.txt"],
+    ],
+)
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(f"necklaces {argv[0]}: error: ")
+    assert "Traceback" not in err
+
+
+def test_failed_check_exits_1_and_names_a_triple(capsys, monkeypatch):
+    broken = TripleTensor({(word("x"), word("x"), word("x")): 1})
+    monkeypatch.setattr(cli, "verify_double_jacobi", lambda rule, a, b, c: broken)
+    code, out = run(capsys, "verify", "jacobi", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert checks and not any(c["ok"] for c in checks)
+    for check in checks:
+        head, witness = check["detail"].split(" first ")
+        assert head == "120 of 120 triples fail,"
+        assert witness.startswith("(") and len(witness.split(", ")) == 3
 
 
 @pytest.mark.parametrize("nmax", ["0", "-1"])

@@ -35,6 +35,20 @@ def test_free_element_algebra():
     assert x**0 == FreeElement.unit()
 
 
+def test_free_element_powers_match_repeated_products():
+    e = FreeElement.of(word("x")) + 2 * FreeElement.of(word("xx*")) - FreeElement.unit()
+    want = FreeElement.unit()
+    for n in range(7):
+        assert e**n == want
+        want = want * e
+    with pytest.raises(ValueError):
+        e ** -1
+
+
+def test_zero_combination_hashes_like_zero():
+    assert {NecklaceElement(): 1}[0] == 1
+
+
 def test_zero_pruning_and_canonical_zero():
     e = FreeElement({word("x"): 0, word("x*"): Fraction(0)})
     assert e.is_zero and e == FreeElement()

@@ -104,6 +104,24 @@ def test_polynomial_is_a_dict_key():
     assert table[X - X] == "zero"
 
 
+def test_scalar_equal_polynomials_hash_like_the_scalar():
+    assert {Polynomial.constant(3): 1}[3] == 1
+    assert {Polynomial(): 1}[0] == 1
+    assert hash(Polynomial.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_powers_match_repeated_products():
+    p = X + 2 * Y - 1
+    m = PolyMatrix([[X, 1], [Y, 0]])
+    for n in range(7):
+        want_p, want_m = Polynomial.constant(1), PolyMatrix.identity(2)
+        for _ in range(n):
+            want_p, want_m = want_p * p, want_m * m
+        assert p**n == want_p and m**n == want_m
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_equality_with_scalars():
     assert Polynomial.constant(3) == 3
     assert X - X + 3 == 3

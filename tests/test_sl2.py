@@ -64,6 +64,7 @@ def test_tensor_multiplicity():
 def test_cn_multiplicity():
     assert cn_multiplicity(4, 2) == 1
     assert cn_multiplicity(2, 0) == 0
+    assert cn_multiplicity(0, 0) == 0  # one word, one necklace in degree 0
     for n in range(1, 9):
         assert cn_multiplicity(n, 0) == 0
 
