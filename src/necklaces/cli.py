@@ -382,11 +382,17 @@ def cmd_decompose(args):
     return text, payload, None, agree
 
 
-def _positive_int(text: str) -> int:
-    value = int(text) if text.lstrip("+-").isdigit() else 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text) if text.lstrip("+-").isdigit() else low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -413,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("dims", help="necklace dimensions: formula vs enumeration")
-    p.add_argument("d", type=int)
-    p.add_argument("kmax", type=int)
+    p.add_argument("d", type=_positive_int)
+    p.add_argument("kmax", type=_int_at_least(0))
     p.set_defaults(func=cmd_dims)
 
     p = add_parser("bracket", help="necklace bracket of two elements")
     p.add_argument("w1")
     p.add_argument("w2")
     p.add_argument("--rule", default="canonical", help="canonical, ngl:N, or a JSON file")
-    p.add_argument("--d", type=int, default=None, help="number of symbol pairs")
+    p.add_argument("--d", type=_positive_int, default=None, help="number of symbol pairs")
     p.set_defaults(func=cmd_bracket)
 
     p = add_parser("table1", help="highest weight multiplicities by degree")

@@ -134,7 +134,8 @@ def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
     letters = [Letter.from_code(c) for c in range(2 * d)]
 
     def visit(a):
-        out.append(Necklace(Word(letters[s] for s in a[1:])))
+        # the walk visits canonical words only
+        out.append(Necklace._unchecked(Word(letters[s] for s in a[1:])))
 
     _prenecklace_walk(2 * d, n, visit)
     return out

@@ -170,15 +170,20 @@ class Necklace:
         raise AttributeError("Necklace is immutable")
 
     @classmethod
+    def _unchecked(cls, representative: Word) -> "Necklace":
+        """A necklace from a word the caller knows to be canonical; skips the
+        rotation check in __init__."""
+        neck = object.__new__(cls)
+        object.__setattr__(neck, "representative", representative)
+        return neck
+
+    @classmethod
     def of(cls, w) -> "Necklace":
         if isinstance(w, Necklace):
             return w
         if isinstance(w, str):
             w = parse_word(w)
-        # canonical by construction, so skip the check in __init__
-        neck = object.__new__(cls)
-        object.__setattr__(neck, "representative", canonical_rotation(w))
-        return neck
+        return cls._unchecked(canonical_rotation(w))
 
     @property
     def degree(self) -> int:

@@ -1,37 +1,62 @@
-"""Exact dense linear algebra over the rationals (small matrices only)."""
+"""Exact sparse linear algebra over the rationals.
+
+One kernel serves rank and solve: each row is cleared of denominators to a
+primitive integer row, stored sparse as {column: int}, and reduced
+fraction-free against the pivot rows found so far.  Every step stays in the
+integers and every answer is exact; only the back-substitution of
+solve_unique returns to Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _eliminate(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan on the first ncols columns of m, in place; returns the
-    pivot columns.  Columns past ncols (an augmented b) are carried along."""
-    nrows = len(m)
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _integer_row(values) -> dict[int, int]:
+    """The nonzero entries of a row, scaled to coprime integers."""
+    row = {c: Fraction(v) for c, v in enumerate(values) if v}
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+
+
+def _eliminate(rows) -> dict[int, dict[int, int]]:
+    """Echelon form of the rows, as pivot rows keyed by leading column.
+
+    Each row is reduced by row = a*row - b*pivot at its leading column until
+    that column has no pivot yet (it becomes one) or the row vanishes.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for values in rows:
+        row = _integer_row(values)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                v = row.get(c, 0) - b * v
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            row = _primitive(row)
     return pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination with exact arithmetic."""
-    m = [list(map(Fraction, r)) for r in rows]
-    return len(_eliminate(m, len(m[0]) if m else 0))
+    """Rank by fraction-free sparse elimination with exact arithmetic."""
+    return len(_eliminate(rows))
 
 
 def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -41,13 +66,14 @@ def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     not unique.
     """
     ncols = len(a[0]) if a else 0
-    m = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(len(a))]
-    pivots = _eliminate(m, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None  # inconsistent
+    pivots = _eliminate(list(row) + [bi] for row, bi in zip(a, b, strict=True))
+    if ncols in pivots:
+        return None  # a row reads 0 = nonzero
     if len(pivots) < ncols:
         raise ValueError("solution is not unique (column rank deficient)")
     x = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        x[c] = row[ncols]
+    for c in reversed(range(ncols)):
+        row = pivots[c]
+        rest = row.get(ncols, 0) - sum(v * x[j] for j, v in row.items() if c < j < ncols)
+        x[c] = Fraction(rest, row[c])
     return x

@@ -85,10 +85,26 @@ class StructureConstants:
     def from_json(cls, text: str) -> "StructureConstants":
         """{"dim": n, "a": [[i, j, k, "p/q"], ...]}; omitted entries are 0."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a rule file must hold a JSON object")
+        dim = data.get("dim")
+        if type(dim) is not int:
+            raise ValueError(f'"dim" must be an integer, got {dim!r}')
+        entries = data.get("a", [])
+        if not isinstance(entries, list):
+            raise ValueError('"a" must be a list of [i, j, k, value] entries')
         table = {}
-        for i, j, k, v in data.get("a", []):
-            table[(int(i), int(j), int(k))] = Fraction(v)
-        return cls(int(data["dim"]), table)
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ValueError(f'each entry of "a" must be [i, j, k, value], got {entry!r}')
+            i, j, k, v = entry
+            if any(type(x) is not int for x in (i, j, k)):
+                raise ValueError(f'the indices of entry {entry!r} of "a" must be integers')
+            try:
+                table[(i, j, k)] = Fraction(v)
+            except TypeError:
+                raise ValueError(f'the value of entry {entry!r} of "a" is not a number') from None
+        return cls(dim, table)
 
     def to_json(self) -> str:
         entries = [

@@ -43,6 +43,7 @@ from necklaces.poisson import (
 )
 from necklaces.sampling import random_word, rng
 from necklaces.sl2 import (
+    DEFAULT_DEGREE_BOUND,
     check_low_degree_structure,
     decompose_bruteforce,
     decompose_by_formula,
@@ -90,11 +91,12 @@ def test_criterion_01_table1(tmp_path, capsys):
     code = cli_main(["table1", "8", "--format", "csv", "--output", str(out)])
     capsys.readouterr()
     cells_ok = code == 0 and out.read_text().strip().splitlines() == TABLE1_CSV
+    top = DEFAULT_DEGREE_BOUND
     oracle_ok = all(
-        decompose_by_formula(n) == decompose_bruteforce(n) for n in range(1, 13)
+        decompose_by_formula(n) == decompose_bruteforce(n) for n in range(1, top + 1)
     )
     ok = cells_ok and oracle_ok
-    announce(1, ok, "table of multiplicities, 72 cells + formula vs oracle to degree 12")
+    announce(1, ok, f"table of multiplicities, 72 cells + formula vs oracle to degree {top}")
     assert cells_ok and oracle_ok
 
 

@@ -18,6 +18,9 @@ def test_dims_text_and_exit(capsys):
     code, out = run(capsys, "dims", "1", "6")
     assert code == 0
     assert "k=6: formula=14 enumerated=14 ok" in out
+    code, out = run(capsys, "dims", "1", "0")
+    assert code == 0
+    assert "k=0: formula=1 enumerated=1 ok" in out
 
 
 def test_dims_csv(capsys):
@@ -152,6 +155,14 @@ def test_csv_not_defined_everywhere(capsys):
     assert err == "necklaces classify: error: csv output is not defined for this command\n"
 
 
+BAD_RULE_FILES = {
+    "no_dim.json": '{"a": []}',
+    "not_an_object.json": "[1]",
+    "short_entry.json": '{"dim": 1, "a": [[1, 1, 1]]}',
+    "fractional_index.json": '{"dim": 1, "a": [[1.5, 1, 1, "1"]]}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,9 +176,18 @@ def test_csv_not_defined_everywhere(capsys):
         ["table1", "--max-degree", "-1"],
         ["verify", "grading", "--max-degree", "-1"],
         ["dims", "1", "3", "--output", "{tmp}/missing/dims.txt"],
+        ["dims", "1", "-1"],
+        ["dims", "0", "3"],
+        ["bracket", "x", "x*", "--d", "0"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/no_dim.json"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/not_an_object.json"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/short_entry.json"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/fractional_index.json"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    for name, text in BAD_RULE_FILES.items():
+        (tmp_path / name).write_text(text)
     argv = [a.format(tmp=tmp_path) for a in argv]
     try:
         code = main(argv)

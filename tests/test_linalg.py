@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,3 +35,111 @@ def test_solve_unique_inconsistent_is_none():
 def test_solve_unique_rank_deficient_raises():
     with pytest.raises(ValueError):
         solve_unique([[1, 2], [2, 4]], [1, 2])
+
+
+# --- the sparse kernel against an independent dense oracle -------------------
+
+
+def dense_rank(rows):
+    """Textbook Gauss-Jordan over Fractions, kept here as the oracle."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def random_entry(rng, scale=1):
+    if rng.random() < 0.5:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9) * scale, rng.choice([1, 1, 2, 3, 4, 6, 7]))
+
+
+def random_matrix(rng, nrows, ncols, independent, scale=1):
+    """nrows rows: `independent` random rows, then rational combinations of
+    them and zero rows, shuffled."""
+    base = [[random_entry(rng, scale) for _ in range(ncols)] for _ in range(independent)]
+    rows = [list(r) for r in base]
+    while len(rows) < nrows:
+        if rng.random() < 0.2:
+            rows.append([Fraction(0)] * ncols)
+            continue
+        coeffs = [random_entry(rng) for _ in base]
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def matvec(a, x):
+    return [sum(Fraction(v) * xi for v, xi in zip(row, x)) for row in a]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)  # wide, tall and square
+    independent = rng.randint(0, min(nrows, ncols))
+    rows = random_matrix(rng, nrows, ncols, independent)
+    expected = dense_rank(rows)
+    assert expected <= independent
+    assert rank(rows) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rank_with_large_entries_matches_dense_oracle(seed):
+    # entries with large common factors and large coprime parts, so that the
+    # integer rows grow unless they are divided by their content
+    rng = random.Random(100 + seed)
+    rows = random_matrix(rng, 12, 10, rng.randint(4, 10), scale=rng.randint(2**40, 2**64))
+    rows = [[v * rng.randint(1, 2**30) for v in row] for row in rows]
+    assert rank(rows) == dense_rank(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_unique_by_substitution(seed):
+    rng = random.Random(200 + seed)
+    ncols = rng.randint(1, 8)
+    a = random_matrix(rng, ncols + rng.randint(0, 4), ncols, ncols)
+    while dense_rank(a) < ncols:
+        a = random_matrix(rng, len(a), ncols, ncols)
+    x = [random_entry(rng) for _ in range(ncols)]
+    b = matvec(a, x)
+    found = solve_unique(a, b)
+    assert matvec(a, found) == b
+    assert found == x  # the column rank is full, so x is the only solution
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_unique_inconsistent_systems_are_none(seed):
+    rng = random.Random(300 + seed)
+    ncols = rng.randint(1, 6)
+    a = random_matrix(rng, ncols + rng.randint(1, 4), ncols, ncols)
+    b = matvec(a, [random_entry(rng) for _ in range(ncols)])
+    # more rows than columns, so some unit vector leaves the column space
+    for i in range(len(b)):
+        bad = b[:i] + [b[i] + Fraction(1, rng.randint(1, 5))] + b[i + 1:]
+        if dense_rank([row + [v] for row, v in zip(a, bad)]) > dense_rank(a):
+            break
+    assert solve_unique(a, bad) is None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_unique_rank_deficient_systems_raise(seed):
+    rng = random.Random(400 + seed)
+    ncols = rng.randint(2, 7)
+    a = random_matrix(rng, ncols + rng.randint(0, 4), ncols - 1, ncols - 1)
+    # one more column that is a combination of the others
+    coeffs = [random_entry(rng) for _ in range(ncols - 1)]
+    a = [row + [sum(c * v for c, v in zip(coeffs, row))] for row in a]
+    b = matvec(a, [random_entry(rng) for _ in range(ncols)])
+    with pytest.raises(ValueError):
+        solve_unique(a, b)
