@@ -95,19 +95,15 @@ def _as_free(e) -> FreeElement:
     raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
 
 
-def _double_bracket_words(rule: BracketRule, aw: Word, bw: Word) -> dict:
+def _double_bracket_words(rule: BracketRule, a: Word, b: Word) -> dict:
     out: dict = {}
-    a = aw.letters
-    b = bw.letters
     for p, ap in enumerate(a):
         for q, bq in enumerate(b):
             t = rule.pair(ap, bq)
             if t is None:
                 continue
             for (u, v), c in t.terms.items():
-                left = Word(b[:q] + u.letters + a[p + 1:])
-                right = Word(a[:p] + v.letters + b[q + 1:])
-                key = (left, right)
+                key = (Word(b[:q] + u + a[p + 1:]), Word(a[:p] + v + b[q + 1:]))
                 out[key] = out.get(key, 0) + c
     return out
 
@@ -150,11 +146,10 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     return NecklaceElement(out)
 
 
-def _splice_sum(w1: Word, w2: Word) -> dict:
-    """Cut-and-join: match each plain letter of w1 with its starred partner
-    in w2, remove both, concatenate the opened necklaces."""
+def _splice_sum(a: Word, b: Word) -> dict:
+    """Cut-and-join: match each plain letter of a with its starred partner
+    in b, remove both, concatenate the opened necklaces."""
     out: dict = {}
-    a, b = w1.letters, w2.letters
     for p, ap in enumerate(a):
         if ap.starred:
             continue
@@ -284,11 +279,6 @@ def check_grading(rule: BracketRule, pairs) -> GradedBracketReport:
 class TraceElement(_Combination):
     """An element of S(necklaces) (x) A: finite map (necklace monomial, Word)
     -> Fraction, the necklace monomial being a sorted tuple of Necklaces."""
-
-    @staticmethod
-    def _key_sort(key):
-        mono, w = key
-        return (tuple(n.representative._sort_key() for n in mono), w._sort_key())
 
     @classmethod
     def of(cls, necklaces, w, c=1) -> "TraceElement":

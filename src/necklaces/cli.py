@@ -18,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import sl2
 from .brackets import (
     BracketRule,
     center_check,
@@ -158,7 +159,7 @@ def cmd_table1(args):
     rows = table1(nmax)
     agree = {}
     for row in rows:
-        if row.degree <= 14:
+        if row.degree <= sl2.DEFAULT_DEGREE_BOUND:
             agree[row.degree] = row == decompose_bruteforce(row.degree)
     ok = all(agree.values())
     weights = list(range(nmax, -1, -1))
@@ -346,7 +347,7 @@ def cmd_ngl(args):
     report = check_degree1_commutator(sc, rule)
     text = [f"degree-1 brackets of the {n}x{n} matrix-algebra rule"]
     pairs = []
-    units = sorted(names, key=lambda a: a.code)
+    units = sorted(names)
     for a in units:
         for b in units:
             got = necklace_bracket(rule, Word([a]), Word([b]))

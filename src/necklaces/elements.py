@@ -1,11 +1,16 @@
 """Exact linear combinations: free-algebra elements, necklaces, tensors.
 
-All coefficients are fractions.Fraction.  _Combination is the package's one
-sparse-map core (multipoly.Polynomial builds on it too), and its constructor
-is the only place that prunes zero coefficients: operations accumulate into
-a plain dict with out[k] = out.get(k, 0) + c and hand it to the constructor,
-so the empty combination is the canonical zero.  Every value is immutable
-after construction and all operations are pure.
+Keys are words (tuples of int-coded letters, see words), necklaces (a
+word in canonical rotation), or tuples of those; words and necklaces order
+themselves by (length, codes), so iterating a combination sorts by the key
+itself.  All coefficients are fractions.Fraction.
+
+_Combination is the package's one sparse-map core (multipoly.Polynomial
+builds on it too), and its constructor is the only place that prunes zero
+coefficients: operations accumulate into a plain dict with
+out[k] = out.get(k, 0) + c and hand it to the constructor, so the empty
+combination is the canonical zero.  Every value is immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -92,11 +97,7 @@ class _Combination:
         return len(self.terms)
 
     def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: self._key_sort(kv[0])))
-
-    @staticmethod
-    def _key_sort(key):
-        return key
+        return iter(sorted(self.terms.items(), key=lambda kv: kv[0]))
 
     def coefficient(self, key):
         return self.terms.get(key, Fraction(0))
@@ -118,10 +119,6 @@ def _power(base, n: int, one):
 
 class FreeElement(_Combination):
     """An element of the free algebra: finite map Word -> Fraction."""
-
-    @staticmethod
-    def _key_sort(key):
-        return key._sort_key()
 
     @classmethod
     def of(cls, w: Word, c=1) -> "FreeElement":
@@ -196,7 +193,7 @@ class Necklace:
         return isinstance(other, Necklace) and self.representative == other.representative
 
     def __lt__(self, other):
-        return self.representative._sort_key() < other.representative._sort_key()
+        return self.representative < other.representative
 
     def __repr__(self):
         return f"({format_word(self.representative)})"
@@ -207,10 +204,6 @@ UNIT_NECKLACE = Necklace(EMPTY_WORD)
 
 class NecklaceElement(_Combination):
     """An element of the necklace space: finite map Necklace -> Fraction."""
-
-    @staticmethod
-    def _key_sort(key):
-        return key.representative._sort_key()
 
     @classmethod
     def of(cls, n, c=1) -> "NecklaceElement":
@@ -254,10 +247,6 @@ def _as_necklace_element(e) -> NecklaceElement:
 class TensorElement(_Combination):
     """An element of A (x) A: finite map (Word, Word) -> Fraction."""
 
-    @staticmethod
-    def _key_sort(key):
-        return (key[0]._sort_key(), key[1]._sort_key())
-
     @classmethod
     def of(cls, left: Word, right: Word, c=1) -> "TensorElement":
         return cls({(left, right): c})
@@ -300,10 +289,6 @@ class TensorElement(_Combination):
 
 class TripleTensor(_Combination):
     """An element of A (x) A (x) A, with the cyclic-shift actions."""
-
-    @staticmethod
-    def _key_sort(key):
-        return tuple(w._sort_key() for w in key)
 
     def shift(self) -> "TripleTensor":
         """sigma: a (x) b (x) c -> c (x) a (x) b."""

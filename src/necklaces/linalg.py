@@ -2,9 +2,11 @@
 
 One kernel serves rank and solve: each row is cleared of denominators to a
 primitive integer row, stored sparse as {column: int}, and reduced
-fraction-free against the pivot rows found so far.  Every step stays in the
-integers and every answer is exact; only the back-substitution of
-solve_unique returns to Fractions.
+fraction-free against the pivot rows found so far.  A row leads at its
+highest nonzero column; on the sl2 E-action blocks this keeps the pivot rows
+far sparser, with smaller entries, than leading at the lowest.  Every step
+stays in the integers and every answer is exact; only the back-substitution
+of solve_unique returns to Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def _integer_row(values) -> dict[int, int]:
 
 
 def _eliminate(rows) -> dict[int, dict[int, int]]:
-    """Echelon form of the rows, as pivot rows keyed by leading column.
+    """Echelon form of the rows, as pivot rows keyed by leading column, the
+    highest column with a nonzero entry.
 
     Each row is reduced by row = a*row - b*pivot at its leading column until
     that column has no pivot yet (it becomes one) or the row vanishes.
@@ -35,7 +38,7 @@ def _eliminate(rows) -> dict[int, dict[int, int]]:
     for values in rows:
         row = _integer_row(values)
         while row:
-            lead = min(row)
+            lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
@@ -66,14 +69,16 @@ def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     not unique.
     """
     ncols = len(a[0]) if a else 0
-    pivots = _eliminate(list(row) + [bi] for row, bi in zip(a, b, strict=True))
-    if ncols in pivots:
-        return None  # a row reads 0 = nonzero
+    # b is column 0, below the unknowns 1..ncols, so it leads only in a row
+    # that reads 0 = nonzero
+    pivots = _eliminate([bi, *row] for row, bi in zip(a, b, strict=True))
+    if 0 in pivots:
+        return None
     if len(pivots) < ncols:
         raise ValueError("solution is not unique (column rank deficient)")
-    x = [Fraction(0)] * ncols
-    for c in reversed(range(ncols)):
+    x = [Fraction(0)] * (ncols + 1)
+    for c in range(1, ncols + 1):
         row = pivots[c]
-        rest = row.get(ncols, 0) - sum(v * x[j] for j, v in row.items() if c < j < ncols)
+        rest = row.get(0, 0) - sum(v * x[j] for j, v in row.items() if 0 < j < c)
         x[c] = Fraction(rest, row[c])
-    return x
+    return x[1:]

@@ -3,6 +3,13 @@
 The alphabet consists of letters x1, x1*, x2, x2*, ... with the fixed total
 order x1 < x1* < x2 < x2* < ...; all canonical forms in the package are
 derived from this order.
+
+A letter is its int code, code(x_i) = 2(i-1) and code(x_i*) = 2(i-1)+1, so
+letters hash, compare and sort as ints; the Letter subclass only adds the
+index, the star and the printed name.  A word is a tuple of letters, so
+words hash and compare equal as tuples; the Word subclass adds the
+(length, codes) order, concatenation by `*` and the printed form.  x1 is
+the int 0: no code may test a letter's truth value.
 """
 
 from __future__ import annotations
@@ -10,14 +17,12 @@ from __future__ import annotations
 import re
 
 
-class Letter:
-    """One generator symbol, e.g. x2 or x2*.
+class Letter(int):
+    """One generator symbol, e.g. x2 or x2*, whose int value is its code.
 
-    Letters are interned, so identity and equality coincide.  `code` realizes
-    the global order: code(x_i) = 2(i-1), code(x_i*) = 2(i-1)+1.
+    Letters are interned: Letter(i, starred) is always the same object.
     """
 
-    __slots__ = ("index", "starred", "code")
     _cache: dict[int, "Letter"] = {}
 
     def __new__(cls, index: int, starred: bool = False):
@@ -27,38 +32,17 @@ class Letter:
         cached = cls._cache.get(code)
         if cached is not None:
             return cached
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "index", index)
-        object.__setattr__(obj, "starred", bool(starred))
-        object.__setattr__(obj, "code", code)
-        cls._cache[code] = obj
+        obj = cls._cache[code] = int.__new__(cls, code)
+        obj.index, obj.starred, obj.code = index, bool(starred), code
+        obj.name = f"x{index}" + ("*" if starred else "")
         return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Letter is immutable")
 
     @staticmethod
     def from_code(code: int) -> "Letter":
         return Letter(code // 2 + 1, bool(code & 1))
 
-    @property
-    def name(self) -> str:
-        return f"x{self.index}" + ("*" if self.starred else "")
-
     def __repr__(self):
         return self.name
-
-    def __hash__(self):
-        return self.code
-
-    def __eq__(self, other):
-        return self is other
-
-    def __lt__(self, other):
-        return self.code < other.code
-
-    def __le__(self, other):
-        return self.code <= other.code
 
 
 def letters(d: int) -> tuple[Letter, ...]:
@@ -71,96 +55,81 @@ def unstarred(d: int) -> tuple[Letter, ...]:
     return tuple(Letter(i) for i in range(1, d + 1))
 
 
-class Word:
-    """An immutable word in the letters; the empty word is the unit 1."""
+class Word(tuple):
+    """An immutable word, the tuple of its letters; the empty word is the
+    unit 1.  Words order by (length, codes) and `*` concatenates them."""
 
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, items=()):
-        object.__setattr__(self, "letters", tuple(items))
-        object.__setattr__(self, "_hash", hash(self.letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        got = self.letters[i]
-        return Word(got) if isinstance(i, slice) else got
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+    __slots__ = ()
 
     def __lt__(self, other):
-        return self._sort_key() < other._sort_key()
+        if len(self) != len(other):
+            return len(self) < len(other)
+        return tuple.__lt__(self, other)
 
-    def _sort_key(self):
-        return (len(self.letters), tuple(a.code for a in self.letters))
+    # tuple's own >, <= and >= are lexicographic; keep them on this order
+    def __gt__(self, other):
+        return other < self
+
+    def __le__(self, other):
+        return not other < self
+
+    def __ge__(self, other):
+        return not self < other
 
     def __mul__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word(self.letters + other.letters)
+        if isinstance(other, Word):
+            return Word(self + other)
+        # raise rather than return NotImplemented, which would fall back to
+        # tuple repetition for an int
+        raise TypeError(f"a word multiplies only a word, not {type(other).__name__}")
+
+    __rmul__ = __mul__
 
     def __repr__(self):
         return format_word(self)
 
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
     def deg_unstarred(self) -> int:
-        return sum(1 for a in self.letters if not a.starred)
+        return sum(1 for a in self if not a.starred)
 
     def deg_starred(self) -> int:
-        return sum(1 for a in self.letters if a.starred)
+        return sum(1 for a in self if a.starred)
 
     def rotated(self, k: int) -> "Word":
         """Left rotation by k: a1...an -> a(k+1)...an a1...ak."""
-        if not self.letters:
+        if not self:
             return self
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
+        k %= len(self)
+        return Word(self[k:] + self[:k])
 
     def rotations(self):
-        return [self.rotated(k) for k in range(max(1, len(self.letters)))]
+        return [self.rotated(k) for k in range(max(1, len(self)))]
 
     def max_index(self) -> int:
-        return max((a.index for a in self.letters), default=0)
+        return max((a.index for a in self), default=0)
 
 
 EMPTY_WORD = Word()
 
 
 def word(*items) -> Word:
-    """Build a word from Letters, letter codes, or strings of letter names."""
+    """Build a word from Letters or letter codes, or strings of letter names."""
     out = []
     for it in items:
-        if isinstance(it, Letter):
-            out.append(it)
-        elif isinstance(it, int):
+        if isinstance(it, int):  # a Letter is its own code
             out.append(Letter.from_code(it))
         elif isinstance(it, str):
-            out.extend(parse_word(it).letters)
+            out.extend(parse_word(it))
         else:
             raise TypeError(f"cannot make a word from {it!r}")
     return Word(out)
 
 
-def _least_rotation_index(codes) -> int:
+def _least_rotation_index(w) -> int:
     """Index of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(codes)
+    n = len(w)
     if n == 0:
         return 0
-    doubled = codes + codes
+    doubled = w + w
     fail = [-1] * (2 * n)
     least = 0
     for j in range(1, 2 * n):
@@ -183,8 +152,7 @@ def canonical_rotation(w: Word) -> Word:
     """Lexicographically minimal rotation of w under the fixed letter order."""
     if len(w) <= 1:
         return w
-    codes = [a.code for a in w.letters]
-    return w.rotated(_least_rotation_index(codes))
+    return w.rotated(_least_rotation_index(w))
 
 
 # --- textual grammar -------------------------------------------------------
@@ -235,8 +203,8 @@ def parse_word(text: str, alphabet: dict[str, Letter] | None = None) -> Word:
 
 
 def format_word(w: Word, names: dict[Letter, str] | None = None) -> str:
-    if not w.letters:
+    if not w:
         return "1"
     if names is None:
-        return "".join(a.name for a in w.letters)
-    return "".join(names.get(a, a.name) for a in w.letters)
+        return "".join(a.name for a in w)
+    return "".join(names.get(a, a.name) for a in w)

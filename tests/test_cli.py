@@ -220,3 +220,11 @@ def test_table1_rejects_nmax_below_one(capsys, nmax):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(f"expected an integer >= 1, got '{nmax}'")
+
+
+def test_table1_validates_rows_up_to_the_sl2_bound(capsys, monkeypatch):
+    monkeypatch.setattr("necklaces.sl2.DEFAULT_DEGREE_BOUND", 3)
+    code, out = run(capsys, "table1", "5", "--format", "json")
+    assert code == 0
+    agrees = [row["oracle_agrees"] for row in json.loads(out)["rows"]]
+    assert agrees == [True, True, True, None, None]
