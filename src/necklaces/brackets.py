@@ -132,18 +132,25 @@ def loday_bracket(rule: BracketRule, a, b) -> FreeElement:
 
 
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
-    """The induced Lie bracket on cyclic words."""
+    """The induced Lie bracket on cyclic words.
+
+    The Loday brackets of all representative pairs are summed in the free
+    algebra and projected once: projection is linear, and many collapsed
+    words cancel before it.
+    """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     out: dict = {}
     for n1, c1 in e1.terms.items():
+        a = n1.representative
         for n2, c2 in e2.terms.items():
-            collapsed = loday_bracket(
-                rule, FreeElement.of(n1.representative), FreeElement.of(n2.representative)
-            )
+            b = n2.representative
+            rule.check_letters(a)
+            rule.check_letters(b)
             c = c1 * c2
-            for neck, v in project_to_necklace(collapsed).terms.items():
-                out[neck] = out.get(neck, 0) + c * v
-    return NecklaceElement(out)
+            for (u, v), t in _double_bracket_words(rule, a, b).items():
+                k = u * v
+                out[k] = out.get(k, 0) + c * t
+    return project_to_necklace(FreeElement(out))
 
 
 def _splice_sum(a: Word, b: Word) -> dict:
@@ -278,7 +285,7 @@ def check_grading(rule: BracketRule, pairs) -> GradedBracketReport:
 
 class TraceElement(_Combination):
     """An element of S(necklaces) (x) A: finite map (necklace monomial, Word)
-    -> Fraction, the necklace monomial being a sorted tuple of Necklaces."""
+    -> coefficient, the necklace monomial being a sorted tuple of Necklaces."""
 
     @classmethod
     def of(cls, necklaces, w, c=1) -> "TraceElement":

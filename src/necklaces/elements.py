@@ -3,7 +3,11 @@
 Keys are words (tuples of int-coded letters, see words), necklaces (a
 word in canonical rotation), or tuples of those; words and necklaces order
 themselves by (length, codes), so iterating a combination sorts by the key
-itself.  All coefficients are fractions.Fraction.
+itself.  A coefficient is an int, or a fractions.Fraction whose denominator
+is not 1: _coeff, the one coercion point, stores an integral Fraction as
+its int numerator, so integer arithmetic stays in int until a true quotient
+appears.  Printing, equality and hashing are the same either way, since
+str(3) == str(Fraction(3)), 3 == Fraction(3) and their hashes agree.
 
 _Combination is the package's one sparse-map core (multipoly.Polynomial
 builds on it too), and its constructor is the only place that prunes zero
@@ -21,16 +25,22 @@ from fractions import Fraction
 from .words import EMPTY_WORD, Letter, Word, canonical_rotation, format_word, parse_word
 
 
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coeff(c) -> int | Fraction:
+    """c as a stored coefficient: an int, or a Fraction that is not integral.
+
+    A bool or a Letter is an int underneath but not a scalar, and raises.
+    """
+    if type(c) is int:
         return c
-    if isinstance(c, (int, str)):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
+    if isinstance(c, (int, str)) and not isinstance(c, (bool, Letter)):
+        c = Fraction(c)
+    elif not isinstance(c, Fraction):
+        raise TypeError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
 
 
 class _Combination:
-    """Shared machinery for finite maps basis-key -> Fraction; the
+    """Shared machinery for finite maps basis-key -> coefficient; the
     constructor drops zero coefficients."""
 
     __slots__ = ("terms",)
@@ -39,7 +49,8 @@ class _Combination:
         clean = {}
         if terms:
             for k, v in terms.items():
-                v = _coeff(v)
+                if type(v) is not int:  # the common case needs no call
+                    v = _coeff(v)
                 if v:
                     clean[k] = v
         object.__setattr__(self, "terms", clean)
@@ -55,7 +66,9 @@ class _Combination:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
+        # 0 and Fraction(0) alike; a bool or a Letter is an int but not a
+        # scalar, so not zero either
+        if (type(other) is int or isinstance(other, Fraction)) and other == 0:
             return not self.terms
         return type(self) is type(other) and self.terms == other.terms
 
@@ -100,7 +113,7 @@ class _Combination:
         return iter(sorted(self.terms.items(), key=lambda kv: kv[0]))
 
     def coefficient(self, key):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
 
 def _power(base, n: int, one):
@@ -118,7 +131,7 @@ def _power(base, n: int, one):
 
 
 class FreeElement(_Combination):
-    """An element of the free algebra: finite map Word -> Fraction."""
+    """An element of the free algebra: finite map Word -> coefficient."""
 
     @classmethod
     def of(cls, w: Word, c=1) -> "FreeElement":
@@ -203,7 +216,7 @@ UNIT_NECKLACE = Necklace(EMPTY_WORD)
 
 
 class NecklaceElement(_Combination):
-    """An element of the necklace space: finite map Necklace -> Fraction."""
+    """An element of the necklace space: finite map Necklace -> coefficient."""
 
     @classmethod
     def of(cls, n, c=1) -> "NecklaceElement":
@@ -245,7 +258,7 @@ def _as_necklace_element(e) -> NecklaceElement:
 
 
 class TensorElement(_Combination):
-    """An element of A (x) A: finite map (Word, Word) -> Fraction."""
+    """An element of A (x) A: finite map (Word, Word) -> coefficient."""
 
     @classmethod
     def of(cls, left: Word, right: Word, c=1) -> "TensorElement":
@@ -335,7 +348,7 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
                 sign = -sign
             term = term[1:].strip()
         m = _RATIONAL.match(term)
-        coeff = Fraction(1)
+        coeff = 1
         if m and (m.end() == len(term) or not term[m.start()].isalpha()):
             coeff = Fraction(m.group(0))
             term = term[m.end():].strip()

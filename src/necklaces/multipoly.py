@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are sorted tuples of (variable name, exponent) pairs; coefficients
-are fractions.Fraction.  Polynomial is an elements._Combination, so it
+Monomials are sorted tuples of (variable name, exponent) pairs; a
+coefficient is an int, or a fractions.Fraction whose denominator is not 1
+(elements._coeff).  Polynomial is an elements._Combination, so it
 shares that class's zero pruning, addition, negation and scaling and only
 adds what is particular to monomials.  Printing uses graded lexicographic
 order so output is deterministic.
@@ -39,7 +40,7 @@ def _mono_key(m: Monomial):
 
 
 class Polynomial(_Combination):
-    """A finite map Monomial -> Fraction; int and Fraction operands act as
+    """A finite map Monomial -> coefficient; int and Fraction operands act as
     constant polynomials."""
 
     __slots__ = ()
@@ -61,7 +62,8 @@ class Polynomial(_Combination):
         return cls({((name, power),): 1})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a bool or a Letter is not a scalar: compare unequal, do not raise
+        if type(other) is int or isinstance(other, Fraction):
             other = Polynomial.constant(other)
         return super().__eq__(other)
 
@@ -109,11 +111,11 @@ class Polynomial(_Combination):
     def variables(self) -> set[str]:
         return {name for m in self.terms for name, _ in m}
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(sorted(mono)), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(_ONE, 0)
 
     def diff(self, name: str) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}

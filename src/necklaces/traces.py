@@ -376,7 +376,7 @@ def witness_matrices(lam) -> tuple[PolyMatrix, PolyMatrix]:
     return x, xs
 
 
-def center_witness(n: int, lam) -> Fraction:
+def center_witness(n: int, lam) -> int | Fraction:
     """Evaluate the n-th central element on the 3 x 3 witness pair."""
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -26,8 +26,9 @@ from necklaces.elements import (
     TensorElement,
     project_to_necklace,
 )
+from necklaces.linear_rules import ngl
 from necklaces.sampling import random_word, rng
-from necklaces.words import EMPTY_WORD, Word, letters, word
+from necklaces.words import EMPTY_WORD, Letter, Word, letters, word
 
 CANON1 = BracketRule.canonical(1)
 CANON2 = BracketRule.canonical(2)
@@ -304,3 +305,45 @@ def test_trace_algebra_derivation_central_annihilates():
             assert mono == necks
             collapsed = collapsed + c * project_to_necklace(FreeElement.of(w))
         assert collapsed.is_zero
+
+
+def _sampled_necklace_element(r, alphabet, terms=4, max_len=4) -> NecklaceElement:
+    out = {}
+    for _ in range(r.randrange(1, terms + 1)):
+        neck = Necklace.of(random_word(r, alphabet, 0, max_len))
+        c = r.choice((r.randint(-5, 5), Fraction(r.randint(-9, 9), r.randint(2, 9))))
+        out[neck] = out.get(neck, 0) + c
+    return NecklaceElement(out)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [CANON2, ngl(2), ngl(3)],
+    ids=["canonical2", "ngl2", "ngl3"],
+)
+def test_necklace_bracket_matches_per_pair_projection(rule):
+    """One projection of the summed Loday brackets equals the sum of the
+    projections taken pair by pair."""
+    r = rng(7)
+    for _ in range(25):
+        e1 = _sampled_necklace_element(r, rule.generators)
+        e2 = _sampled_necklace_element(r, rule.generators)
+        want = NecklaceElement()
+        for n1, c1 in e1.terms.items():
+            for n2, c2 in e2.terms.items():
+                pair = project_to_necklace(
+                    loday_bracket(rule, n1.representative, n2.representative)
+                )
+                want = want + pair.scaled(c1 * c2)
+        assert necklace_bracket(rule, e1, e2) == want
+
+
+@pytest.mark.parametrize("rule", [CANON2, ngl(2), ngl(3)], ids=["canonical2", "ngl2", "ngl3"])
+def test_necklace_bracket_rejects_foreign_letters(rule):
+    foreign = Word([Letter(10, True)])
+    inside = NecklaceElement.of(Word(rule.generators[:2]))
+    mixed = inside + NecklaceElement.of(foreign * Word(rule.generators[:1]))
+    with pytest.raises(ValueError, match="x10"):
+        necklace_bracket(rule, inside, mixed)
+    with pytest.raises(ValueError, match="x10"):
+        necklace_bracket(rule, mixed, inside)

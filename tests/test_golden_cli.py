@@ -2,8 +2,8 @@
 
 perfbench/workloads.py (the seed-0 command lists) and perfbench/golden.json
 (the sha256 of each command's stdout) are only read, by path.  Each command
-runs in-process through cli.main.  The two `center` commands and the demo
-script are left to the benchmark, as they cost most of its time.
+runs in-process through cli.main.  The demo script is left to the
+benchmark, as it runs as a script rather than a subcommand.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import pytest
 from necklaces import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SKIPPED = ("center", "demos/")
+SKIPPED = ("demos/",)
 
 
 def _golden_commands():
