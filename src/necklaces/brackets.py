@@ -9,6 +9,11 @@ which is the unique bilinear extension that is twisted antisymmetric and an
 outer derivation in its second argument; the test suite checks it against
 both axioms directly.  Collapsing with the multiplication map gives the
 Loday bracket; projecting to cyclic words gives the necklace Lie bracket.
+
+Only the pairs the rule stores contribute, so each rule keeps a partner index,
+letter -> its partners with their tensor terms, and the kernels walk the
+letters of the first word and visit only the positions of their partners in
+the second; under the canonical rule that is x_i against x_i* alone.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class BracketRule:
     stored pairs.
     """
 
-    __slots__ = ("kind", "generators", "table", "names", "degree_shift")
+    __slots__ = ("kind", "generators", "table", "partners", "names", "degree_shift")
 
     def __init__(self, kind, generators, table, names=None, degree_shift=None):
         self.kind = kind
@@ -53,6 +58,11 @@ class BracketRule:
             if mirrored != -t.flip():
                 raise ValueError(f"twisted antisymmetry fails on generators ({a}, {b})")
         self.table = clean
+        # letter -> ((partner, ((u, v), c) items), ...) over the stored pairs
+        partners: dict = {}
+        for (a, b), t in clean.items():
+            partners.setdefault(a, []).append((b, tuple(t.terms.items())))
+        self.partners = {a: tuple(row) for a, row in partners.items()}
         self.names = dict(names) if names else None
         self.degree_shift = degree_shift
 
@@ -95,16 +105,23 @@ def _as_free(e) -> FreeElement:
     raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
 
 
+def _cuts(w: Word) -> dict:
+    """letter -> (w_<q, w_>q) for each position q where it occurs in w."""
+    at: dict = {}
+    for q, x in enumerate(w):
+        at.setdefault(x, []).append((w[:q], w[q + 1:]))
+    return at
+
+
 def _double_bracket_words(rule: BracketRule, a: Word, b: Word) -> dict:
     out: dict = {}
+    at = _cuts(b)
     for p, ap in enumerate(a):
-        for q, bq in enumerate(b):
-            t = rule.pair(ap, bq)
-            if t is None:
-                continue
-            for (u, v), c in t.terms.items():
-                key = (Word(b[:q] + u + a[p + 1:]), Word(a[:p] + v + b[q + 1:]))
-                out[key] = out.get(key, 0) + c
+        for partner, terms in rule.partners.get(ap, ()):
+            for head, tail in at.get(partner, ()):
+                for (u, v), c in terms:
+                    key = (Word(head + u + a[p + 1:]), Word(a[:p] + v + tail))
+                    out[key] = out.get(key, 0) + c
     return out
 
 
@@ -134,22 +151,35 @@ def loday_bracket(rule: BracketRule, a, b) -> FreeElement:
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     """The induced Lie bracket on cyclic words.
 
-    The Loday brackets of all representative pairs are summed in the free
-    algebra and projected once: projection is linear, and many collapsed
-    words cancel before it.
+    Each term u (x) v of {{a_p, b_q}} for representatives a, b collapses to
+    the word b_<q . u . a_>p . a_<p . v . b_>q.  These are summed over all
+    representative pairs in the free algebra and projected once: projection
+    is linear, and many collapsed words cancel before it.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
+    if not (e1.terms and e2.terms):  # zero, and no letter is checked
+        return NecklaceElement()
+    gens = frozenset(rule.generators)
+    for n in (*e1.terms, *e2.terms):
+        if not gens.issuperset(n.representative):
+            rule.check_letters(n.representative)
+    # e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
+    # (b_q, u . a_>p . a_<p . v, c1 * c)
+    opened = []
+    for n, c1 in e1.terms.items():
+        a = n.representative
+        for p, ap in enumerate(a):
+            rest = a[p + 1:] + a[:p]
+            for partner, terms in rule.partners.get(ap, ()):
+                for (u, v), c in terms:
+                    opened.append((partner, u + rest + v, c1 * c))
     out: dict = {}
-    for n1, c1 in e1.terms.items():
-        a = n1.representative
-        for n2, c2 in e2.terms.items():
-            b = n2.representative
-            rule.check_letters(a)
-            rule.check_letters(b)
-            c = c1 * c2
-            for (u, v), t in _double_bracket_words(rule, a, b).items():
-                k = u * v
-                out[k] = out.get(k, 0) + c * t
+    for n, c2 in e2.terms.items():
+        at = _cuts(n.representative)
+        for partner, middle, c in opened:
+            for head, tail in at.get(partner, ()):
+                k = Word(head + middle + tail)
+                out[k] = out.get(k, 0) + c * c2
     return project_to_necklace(FreeElement(out))
 
 

@@ -245,7 +245,7 @@ def cmd_center(args):
     }
     if d == 1:
         lam = Fraction(args.witness_lambda)
-        value = center_witness(n, lam) if n >= 1 else Fraction(0)
+        value = center_witness(n, lam)
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": str(value)}
     ok = report.ok

@@ -377,9 +377,10 @@ def witness_matrices(lam) -> tuple[PolyMatrix, PolyMatrix]:
 
 
 def center_witness(n: int, lam) -> int | Fraction:
-    """Evaluate the n-th central element on the 3 x 3 witness pair."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Evaluate the n-th central element on the 3 x 3 witness pair; c_0 is
+    the unit necklace, whose trace is 3."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     x, xs = witness_matrices(lam)
     value = trace_of(center_element(1, n), [x, xs])
     assert value.total_degree() == 0

@@ -5,7 +5,6 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
-    GradedBracketReport,
     TraceElement,
     center_check,
     center_element,
@@ -213,6 +212,19 @@ def test_kontsevich_matches_necklace_bracket_d2():
         )
 
 
+@pytest.mark.parametrize("d, total", [(2, 6), (3, 4)])
+def test_kontsevich_matches_necklace_bracket_exhaustive(d, total):
+    rule = BracketRule.canonical(d)
+    necks = [n for k in range(total + 1) for n in enumerate_necklaces(d, k)]
+    for n1 in necks:
+        for n2 in necks:
+            if n1.degree + n2.degree > total:
+                continue
+            assert kontsevich_bracket(n1, n2, d) == necklace_bracket(
+                rule, NecklaceElement.of(n1), NecklaceElement.of(n2)
+            ), (n1, n2)
+
+
 def test_double_jacobi_examples():
     assert verify_double_jacobi(CANON1, "x", "x*", "x").is_zero
     assert verify_double_jacobi(CANON1, "xx*", "x*x", "xx").is_zero
@@ -251,12 +263,16 @@ def test_center_check_full_grid():
             assert report.ok, (d, n, report.violations[:3])
 
 
-def test_center_check_reports_violations_for_noncentral():
-    # sanity: the checker must flag a non-central element
-    report = GradedBracketReport(degree_shift=-2, samples_checked=0)
-    got = necklace_bracket(CANON1, NecklaceElement.of("xx*"), NecklaceElement.of("x"))
-    assert not got.is_zero  # xx* is not central
-    assert report.ok  # empty report is ok by definition
+def test_center_check_reports_violations_for_noncentral(monkeypatch):
+    # the checker must flag a non-central element and name the witness
+    monkeypatch.setattr(
+        "necklaces.brackets.center_element", lambda d, n: NecklaceElement.of("xx*")
+    )
+    report = center_check(1, 1, 2)
+    assert not report.ok
+    neck, got = report.violations[0]
+    assert neck == Necklace.of("x")
+    assert got == NecklaceElement.of("x", -1)
 
 
 def test_trace_algebra_derivation_word_part():
@@ -347,3 +363,66 @@ def test_necklace_bracket_rejects_foreign_letters(rule):
         necklace_bracket(rule, inside, mixed)
     with pytest.raises(ValueError, match="x10"):
         necklace_bracket(rule, mixed, inside)
+
+
+def _reference_double_bracket(rule, a, b) -> TensorElement:
+    """The closed form as a scan of every letter pair (p, q), each looked up
+    with rule.pair; shares nothing with the partner index."""
+    out = {}
+    for p, ap in enumerate(a):
+        for q, bq in enumerate(b):
+            t = rule.pair(ap, bq)
+            if t is None:
+                continue
+            for (u, v), c in t.terms.items():
+                key = (Word(b[:q] + u + a[p + 1:]), Word(a[:p] + v + b[q + 1:]))
+                out[key] = out.get(key, 0) + c
+    return TensorElement(out)
+
+
+def _two_partner_rule() -> BracketRule:
+    """x1 pairs with x1* and with x2, x2* pairs with itself; the terms have
+    u != v and coefficients other than 1."""
+    x1, x1s, x2, x2s = (word(s) for s in ("x1", "x1*", "x2", "x2*"))
+    t11 = TensorElement({(EMPTY_WORD, EMPTY_WORD): 2})
+    t12 = TensorElement({(x1, x2s): 3, (x2, EMPTY_WORD): Fraction(1, 2)})
+    t22 = TensorElement(
+        {(x2s, EMPTY_WORD): 1, (EMPTY_WORD, x2s): -1, (x1, x2): 5, (x2, x1): -5}
+    )
+    return BracketRule.custom(
+        letters(2),
+        {
+            (x1[0], x1s[0]): t11,
+            (x1s[0], x1[0]): -t11.flip(),
+            (x1[0], x2[0]): t12,
+            (x2[0], x1[0]): -t12.flip(),
+            (x2s[0], x2s[0]): t22,
+        },
+    )
+
+
+INDEX_RULES = [
+    BracketRule.canonical(1),
+    BracketRule.canonical(3),
+    ngl(2),
+    ngl(3),
+    _two_partner_rule(),
+]
+
+
+@pytest.mark.parametrize(
+    "rule", INDEX_RULES, ids=["canonical1", "canonical3", "ngl2", "ngl3", "two_partner"]
+)
+def test_partner_index_matches_full_scan(rule):
+    """double_bracket and necklace_bracket, which visit only indexed partner
+    positions, against the scan of every letter pair."""
+    r = rng(19)
+    for _ in range(150):
+        a = random_word(r, rule.generators, 0, 6)
+        b = random_word(r, rule.generators, 0, 6)
+        assert double_bracket(rule, a, b) == _reference_double_bracket(rule, a, b)
+        n1, n2 = Necklace.of(a), Necklace.of(b)
+        want = project_to_necklace(
+            _reference_double_bracket(rule, n1.representative, n2.representative).collapse()
+        )
+        assert necklace_bracket(rule, n1, n2) == want

@@ -101,6 +101,18 @@ def test_center_command(capsys):
     assert data["is_zero"] is True and data["ok"] is True
 
 
+def test_center_command_unit_witness(capsys):
+    # c_0 is the unit necklace: its trace on the 3 x 3 witness pair is 3
+    code, out = run(capsys, "center", "1", "0", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["element"]["text"] == "1"
+    assert data["witness"] == {"lambda": "1", "value": "3"}
+    code, out = run(capsys, "center", "1", "0", "3", "--witness-lambda=3/4")
+    assert code == 0
+    assert "witness value at lambda=3/4: 3" in out
+
+
 def test_verify_suites_exit_zero(capsys):
     for suite in ("jacobi", "loday", "grading", "casimir", "cayley-hamilton", "decoupling"):
         code, out = run(capsys, "verify", suite)

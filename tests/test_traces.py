@@ -214,9 +214,10 @@ def test_casimir_image_displayed_variants_fail_by_factor():
 
 def test_center_witness_values():
     for lam in (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)):
-        for n in range(1, 5):
+        for n in range(0, 5):
             expected = 2 * lam**n + (-2) ** n * lam**n
             assert center_witness(n, lam) == expected
+    assert center_witness(0, Fraction(3, 4)) == 3
     assert center_witness(2, 1) == 6
     assert center_witness(3, 1) == -6
     assert center_witness(1, 1) == 0
