@@ -36,17 +36,15 @@ from .words import Letter, Word, letters
 class BracketRule:
     """Generator-level double bracket: a map (Letter, Letter) -> TensorElement.
 
-    kind is one of "canonical_symplectic", "linear", "custom".  Construction
-    validates twisted antisymmetry, rule(b, a) == -flip(rule(a, b)), over all
-    stored pairs.
+    Construction validates twisted antisymmetry, rule(b, a) ==
+    -flip(rule(a, b)), over all stored pairs.
     """
 
-    __slots__ = ("kind", "generators", "table", "partners", "names", "degree_shift")
+    __slots__ = ("generators", "genset", "table", "partners", "names", "degree_shift")
 
-    def __init__(self, kind, generators, table, names=None, degree_shift=None):
-        self.kind = kind
+    def __init__(self, generators, table, names=None, degree_shift=None):
         self.generators = tuple(generators)
-        genset = set(self.generators)
+        self.genset = genset = frozenset(self.generators)
         clean = {}
         for (a, b), t in table.items():
             if a not in genset or b not in genset:
@@ -75,22 +73,19 @@ class BracketRule:
             xi, xis = Letter(i), Letter(i, True)
             table[(xi, xis)] = TensorElement.unit(1)
             table[(xis, xi)] = TensorElement.unit(-1)
-        return cls("canonical_symplectic", gens, table, degree_shift=-2)
+        return cls(gens, table, degree_shift=-2)
 
     @classmethod
     def custom(cls, generators, table) -> "BracketRule":
-        return cls("custom", generators, table)
+        return cls(generators, table)
 
     def pair(self, a: Letter, b: Letter) -> TensorElement | None:
         return self.table.get((a, b))
 
     def check_letters(self, w: Word):
-        for a in w:
-            if a not in self.generators:
-                raise ValueError(f"letter {a.name} is not a generator of this rule")
-
-    def display_names(self) -> dict[Letter, str] | None:
-        return self.names
+        if not self.genset.issuperset(w):
+            a = next(a for a in w if a not in self.genset)
+            raise ValueError(f"letter {a.name} is not a generator of this rule")
 
 
 def _as_free(e) -> FreeElement:
@@ -159,15 +154,12 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    gens = frozenset(rule.generators)
     for n in (*e1.terms, *e2.terms):
-        if not gens.issuperset(n.representative):
-            rule.check_letters(n.representative)
+        rule.check_letters(n)
     # e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
     # (b_q, u . a_>p . a_<p . v, c1 * c)
     opened = []
-    for n, c1 in e1.terms.items():
-        a = n.representative
+    for a, c1 in e1.terms.items():
         for p, ap in enumerate(a):
             rest = a[p + 1:] + a[:p]
             for partner, terms in rule.partners.get(ap, ()):
@@ -175,7 +167,7 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
                     opened.append((partner, u + rest + v, c1 * c))
     out: dict = {}
     for n, c2 in e2.terms.items():
-        at = _cuts(n.representative)
+        at = _cuts(n)
         for partner, middle, c in opened:
             for head, tail in at.get(partner, ()):
                 k = Word(head + middle + tail)
@@ -205,11 +197,11 @@ def kontsevich_bracket(w1, w2, d: int) -> NecklaceElement:
     rule on 2d letters.
     """
     n1, n2 = Necklace.of(w1), Necklace.of(w2)
-    for w in (n1.representative, n2.representative):
-        if w.max_index() > d:
-            raise ValueError(f"word {w!r} uses letters beyond x{d}")
-    plus = _splice_sum(n1.representative, n2.representative)
-    minus = _splice_sum(n2.representative, n1.representative)
+    for n in (n1, n2):
+        if n.max_index() > d:
+            raise ValueError(f"necklace {n!r} uses letters beyond x{d}")
+    plus = _splice_sum(n1, n2)
+    minus = _splice_sum(n2, n1)
     out = dict(plus)
     for k, v in minus.items():
         out[k] = out.get(k, 0) - v
@@ -351,7 +343,7 @@ def trace_algebra_derivation(rule: BracketRule, w, t: TraceElement) -> TraceElem
                 key = (tuple(sorted(rest + (neck,))), u)
                 out[key] = out.get(key, 0) + c * c2
         for nw, cw in w.terms.items():
-            word_part = loday_bracket(rule, FreeElement.of(nw.representative), FreeElement.of(u))
+            word_part = loday_bracket(rule, FreeElement.of(nw), FreeElement.of(u))
             for uw, c2 in word_part.terms.items():
                 out[(mono, uw)] = out.get((mono, uw), 0) + c * cw * c2
     return TraceElement(out)

@@ -55,7 +55,7 @@ from .words import Word, format_word, letters, unstarred
 
 def _necklace_element_json(e: NecklaceElement, names=None):
     return {
-        "terms": [[str(c), format_word(n.representative, names)] for n, c in e],
+        "terms": [[str(c), format_word(n, names)] for n, c in e],
         "text": format_element(e, names),
     }
 
@@ -128,12 +128,12 @@ def cmd_bracket(args):
     elif not canonical:
         with open(args.rule) as fh:
             rule = linear_rule(StructureConstants.from_json(fh.read()))
-    names = None if canonical else rule.display_names()
+    names = None if canonical else rule.names
     alphabet = {v: k for k, v in names.items()} if names else None
     e1, e2 = (project_to_necklace(parse_element(w, alphabet)) for w in (args.w1, args.w2))
     if canonical:
         d = args.d or max(
-            (n.representative.max_index() for e in (e1, e2) for n in e.terms),
+            (n.max_index() for e in (e1, e2) for n in e.terms),
             default=1,
         )
         rule = BracketRule.canonical(d)

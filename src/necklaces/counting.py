@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .elements import Necklace
-from .words import Letter, Word
+from .words import Letter
 
 
 def divisors(n: int) -> list[int]:
@@ -135,7 +135,7 @@ def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
 
     def visit(a):
         # the walk visits canonical words only
-        out.append(Necklace._unchecked(Word(letters[s] for s in a[1:])))
+        out.append(Necklace._unchecked([letters[s] for s in a[1:]]))
 
     _prenecklace_walk(2 * d, n, visit)
     return out

@@ -1,7 +1,8 @@
 """Exact linear combinations: free-algebra elements, necklaces, tensors.
 
-Keys are words (tuples of int-coded letters, see words), necklaces (a
-word in canonical rotation), or tuples of those; words and necklaces order
+Keys are words (tuples of int-coded letters, see words), necklaces, or
+tuples of those.  A necklace is the word of its least rotation: a Word
+subclass that only prints differently.  Words and necklaces order
 themselves by (length, codes), so iterating a combination sorts by the key
 itself.  A coefficient is an int, or a fractions.Fraction whose denominator
 is not 1: _coeff, the one coercion point, stores an integral Fraction as
@@ -159,33 +160,30 @@ class FreeElement(_Combination):
     def commutator(self, other: "FreeElement") -> "FreeElement":
         return self * other - other * self
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __repr__(self):
         return format_element(self)
 
 
-class Necklace:
-    """A cyclic word, stored as its canonical (minimal) rotation."""
+class Necklace(Word):
+    """A cyclic word, stored as the Word of its least rotation.
 
-    __slots__ = ("representative",)
+    It equals and hashes like that word, and like no other rotation, and
+    orders by Word's (length, codes) order; it prints in parentheses, as
+    (x1x1*).
+    """
 
-    def __init__(self, representative: Word):
-        if representative != canonical_rotation(representative):
-            raise ValueError(f"{representative!r} is not a canonical rotation")
-        object.__setattr__(self, "representative", representative)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Necklace is immutable")
+    def __new__(cls, w=EMPTY_WORD):
+        if w != canonical_rotation(w):
+            raise ValueError(f"{w!r} is not a canonical rotation")
+        return tuple.__new__(cls, w)
 
     @classmethod
-    def _unchecked(cls, representative: Word) -> "Necklace":
-        """A necklace from a word the caller knows to be canonical; skips the
-        rotation check in __init__."""
-        neck = object.__new__(cls)
-        object.__setattr__(neck, "representative", representative)
-        return neck
+    def _unchecked(cls, letters) -> "Necklace":
+        """A necklace from letters the caller knows to be in canonical
+        rotation; skips the rotation check in __new__."""
+        return tuple.__new__(cls, letters)
 
     @classmethod
     def of(cls, w) -> "Necklace":
@@ -193,26 +191,22 @@ class Necklace:
             return w
         if isinstance(w, str):
             w = parse_word(w)
-        return cls._unchecked(canonical_rotation(w))
+        return tuple.__new__(cls, canonical_rotation(w))
+
+    @property
+    def representative(self) -> "Necklace":
+        """The canonical word, which is the necklace itself."""
+        return self
 
     @property
     def degree(self) -> int:
-        return len(self.representative)
-
-    def __hash__(self):
-        return hash(self.representative) ^ 0x9E3779B9
-
-    def __eq__(self, other):
-        return isinstance(other, Necklace) and self.representative == other.representative
-
-    def __lt__(self, other):
-        return self.representative < other.representative
+        return len(self)
 
     def __repr__(self):
-        return f"({format_word(self.representative)})"
+        return f"({format_word(self)})"
 
 
-UNIT_NECKLACE = Necklace(EMPTY_WORD)
+UNIT_NECKLACE = Necklace()
 
 
 class NecklaceElement(_Combination):
@@ -248,12 +242,10 @@ def project_to_necklace(e: FreeElement) -> NecklaceElement:
 def _as_necklace_element(e) -> NecklaceElement:
     if isinstance(e, NecklaceElement):
         return e
-    if isinstance(e, Necklace):
-        return NecklaceElement.of(e)
     if isinstance(e, FreeElement):
         return project_to_necklace(e)
     if isinstance(e, (Word, str)):
-        return NecklaceElement.of(Necklace.of(e))
+        return NecklaceElement.of(e)
     raise TypeError(f"expected a necklace element, got {type(e).__name__}")
 
 
@@ -381,7 +373,4 @@ def _signed_sum(terms) -> str:
 
 def format_element(e, names: dict[Letter, str] | None = None) -> str:
     """Render a FreeElement or NecklaceElement in the textual grammar."""
-    return _signed_sum(
-        (c, format_word(k.representative if isinstance(k, Necklace) else k, names))
-        for k, c in e
-    )
+    return _signed_sum((c, format_word(k, names)) for k, c in e)

@@ -131,7 +131,7 @@ def linear_rule(sc: StructureConstants, names=None) -> BracketRule:
             t = TensorElement(terms)
             if t:
                 table[(Letter(i), Letter(j))] = t
-    return BracketRule("linear", gens, table, names=names, degree_shift=-1)
+    return BracketRule(gens, table, names=names, degree_shift=-1)
 
 
 def matrix_unit_index(n: int, i: int, j: int) -> int:

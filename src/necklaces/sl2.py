@@ -42,8 +42,6 @@ def sl2_generators() -> Sl2Generators:
 
 def word_weight(w) -> int:
     """H-eigenvalue of a word: deg_{x*} - deg_x."""
-    if isinstance(w, Necklace):
-        w = w.representative
     return w.deg_starred() - w.deg_unstarred()
 
 

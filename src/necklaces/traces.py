@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import linalg
 from .brackets import BracketRule, center_element, necklace_bracket
-from .elements import Necklace, NecklaceElement, _as_necklace_element
+from .elements import UNIT_NECKLACE, Necklace, NecklaceElement, _as_necklace_element
 from .multipoly import Polynomial, PolyMatrix
 from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
@@ -55,7 +55,7 @@ def trace_of(e, mats) -> Polynomial:
     and linear, with the unit necklace mapping to the matrix size."""
     out: dict = {}
     for neck, c in _as_necklace_element(e).terms.items():
-        for m, v in word_matrix(neck.representative, mats).trace().terms.items():
+        for m, v in word_matrix(neck, mats).trace().terms.items():
             out[m] = out.get(m, 0) + c * v
     return Polynomial(out)
 
@@ -66,7 +66,7 @@ def abelianize(e) -> Polynomial:
     out: dict = {}
     for neck, c in _as_necklace_element(e).terms.items():
         mono = Polynomial.constant(c)
-        for a in neck.representative:
+        for a in neck:
             mono = mono * Polynomial.variable(a.name)
         for m, v in mono.terms.items():
             out[m] = out.get(m, 0) + v
@@ -79,26 +79,20 @@ def _mats2() -> tuple[PolyMatrix, PolyMatrix]:
     return x, xs
 
 
+# the necklaces whose traces are the five generators, in GENERATORS' order
+_TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
+
+
 @lru_cache(maxsize=None)
 def generator_polynomials() -> dict[str, Polynomial]:
     """The five trace generators as polynomials in the 8 indeterminates."""
-    x, xs = _mats2()
-    return {
-        "tr(x)": x.trace(),
-        "tr(x*)": xs.trace(),
-        "tr(x^2)": (x * x).trace(),
-        "tr((x*)^2)": (xs * xs).trace(),
-        "tr(xx*)": (x * xs).trace(),
-    }
+    mats = _mats2()
+    return {g: trace_of(w, mats) for g, w in zip(GENERATORS, _TABLE2_NECKLACES)}
 
 
 _NECKLACE_TO_GENERATOR = {
-    Necklace.of("1"): None,  # unit: tr(identity) = 2
-    Necklace.of("x1"): "tr(x)",
-    Necklace.of("x1*"): "tr(x*)",
-    Necklace.of("x1x1"): "tr(x^2)",
-    Necklace.of("x1*x1*"): "tr((x*)^2)",
-    Necklace.of("x1x1*"): "tr(xx*)",
+    UNIT_NECKLACE: None,  # unit: tr(identity) = 2
+    **{Necklace.of(w): g for g, w in zip(GENERATORS, _TABLE2_NECKLACES)},
 }
 
 
@@ -134,9 +128,6 @@ def induced_bracket(w1, w2, n: int) -> InducedBracket:
         for m, v in term.terms.items():
             expr[m] = expr.get(m, 0) + v
     return InducedBracket(raw, Polynomial(expr), True, 2)
-
-
-_TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
 
 
 @dataclass

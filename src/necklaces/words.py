@@ -8,8 +8,10 @@ A letter is its int code, code(x_i) = 2(i-1) and code(x_i*) = 2(i-1)+1, so
 letters hash, compare and sort as ints; the Letter subclass only adds the
 index, the star and the printed name.  A word is a tuple of letters, so
 words hash and compare equal as tuples; the Word subclass adds the
-(length, codes) order, concatenation by `*` and the printed form.  x1 is
-the int 0: no code may test a letter's truth value.
+(length, codes) order, concatenation by `*` and the printed form.  A
+necklace (elements.Necklace) is the word of its least rotation, a Word
+subclass that only prints in parentheses.  x1 is the int 0: no code may
+test a letter's truth value.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 perfbench/workloads.py (the seed-0 command lists) and perfbench/golden.json
 (the sha256 of each command's stdout) are only read, by path.  Each command
-runs in-process through cli.main.  The demo script is left to the
-benchmark, as it runs as a script rather than a subcommand.
+runs in-process: a subcommand through cli.main, the demo script through
+runpy as __main__.
 """
 
 import hashlib
 import importlib.util
 import json
+import runpy
 from itertools import takewhile
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import pytest
 
 from necklaces import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-SKIPPED = ("demos/",)
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _golden_commands():
@@ -29,7 +30,7 @@ def _golden_commands():
     for commands in workloads.WORKLOADS.values():
         for argv in commands(0):
             key = workloads.command_key(argv)
-            if key in golden and not argv[0].startswith(SKIPPED):
+            if key in golden:
                 name = " ".join(takewhile(lambda a: not a.startswith("-"), argv))
                 out.append(pytest.param(argv, golden[key], id=name))
     return out
@@ -37,6 +38,9 @@ def _golden_commands():
 
 @pytest.mark.parametrize("argv, want", _golden_commands())
 def test_cli_stdout_matches_golden_digest(capsys, argv, want):
-    assert cli.main(argv) == 0
+    if argv[0].endswith(".py"):
+        runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+    else:
+        assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == want

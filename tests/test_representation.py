@@ -1,11 +1,15 @@
-"""Letters are ints and words are tuples: the behaviour the package keeps
-on top of them, and the int and tuple behaviour it must not leak."""
+"""Letters are ints, words are tuples and a necklace is the word of its
+least rotation: the behaviour the package keeps on top of them, and the int
+and tuple behaviour it must not leak."""
+
+import operator
 
 from fractions import Fraction
 
 import pytest
 
 from necklaces.brackets import TraceElement
+from necklaces.counting import enumerate_necklaces
 from necklaces.elements import (
     FreeElement,
     Necklace,
@@ -16,7 +20,7 @@ from necklaces.elements import (
 )
 from necklaces.linear_rules import matrix_unit_names
 from necklaces.sampling import random_word, rng
-from necklaces.words import Letter, letters, word
+from necklaces.words import Letter, Word, canonical_rotation, letters, word
 
 
 def word_key(w):
@@ -68,6 +72,40 @@ def test_word_order_is_length_then_codes():
     assert short < long and short <= long and long > short and long >= short
     assert not (short > long or short >= long or long < short or long <= short)
     assert max(words) == sorted(words)[-1] and min(words) == sorted(words)[0]
+
+
+def test_necklace_is_the_word_of_its_least_rotation():
+    r = rng(13)
+    for _ in range(200):
+        w = random_word(r, letters(2), 0, 6)
+        n = Necklace.of(w)
+        least = canonical_rotation(w)
+        assert isinstance(n, Word) and isinstance(n, tuple)
+        assert n == least and hash(n) == hash(least) and tuple(n) == tuple(least)
+        for k in range(1, len(w)):
+            rotation = w.rotated(k)
+            if rotation != least:
+                assert n != rotation
+                with pytest.raises(ValueError):
+                    Necklace(rotation)
+        assert Necklace.of(n) is n and n.representative is n
+        assert Necklace(least) == n and n.degree == len(w)
+
+
+def test_necklace_prints_in_parentheses():
+    n = Necklace.of("x1*x1")
+    assert repr(n) == str(n) == f"{n}" == "(x1x1*)"
+    assert repr(Necklace()) == "(1)"
+
+
+@pytest.mark.parametrize(
+    "op", [operator.lt, operator.le, operator.gt, operator.ge], ids=["lt", "le", "gt", "ge"]
+)
+def test_necklace_order_is_length_then_codes(op):
+    necks = [n for k in range(5) for n in enumerate_necklaces(2, k)]
+    for a in necks:
+        for b in necks:
+            assert op(a, b) == op(word_key(a), word_key(b))
 
 
 @pytest.mark.parametrize(
