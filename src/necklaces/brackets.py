@@ -18,8 +18,6 @@ the second; under the canonical rule that is x_i against x_i* alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .elements import (
     FreeElement,
     Necklace,
@@ -255,13 +253,15 @@ def center_element(d: int, n: int) -> NecklaceElement:
     return project_to_necklace(FreeElement(terms) ** n)
 
 
-@dataclass
 class GradedBracketReport:
     """Outcome of a family of bracket checks; empty violations means pass."""
 
-    degree_shift: int
-    samples_checked: int
-    violations: list = field(default_factory=list)
+    __slots__ = ("degree_shift", "samples_checked", "violations")
+
+    def __init__(self, degree_shift: int, samples_checked: int, violations: list | None = None):
+        self.degree_shift = degree_shift
+        self.samples_checked = samples_checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

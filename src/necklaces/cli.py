@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import sl2
 from .brackets import (
@@ -33,8 +32,10 @@ from .counting import enumerate_necklaces, necklace_count_by_enumeration, neckla
 from .elements import (
     Necklace,
     NecklaceElement,
+    _signed_sum,
     format_element,
     parse_element,
+    parse_rational,
     project_to_necklace,
 )
 from .linear_rules import (
@@ -54,9 +55,12 @@ from .words import Word, format_word, letters, unstarred
 
 
 def _necklace_element_json(e: NecklaceElement, names=None):
+    """The element's sorted terms as [coefficient, necklace] strings and its
+    format_element text, from one sorted pass over the terms."""
+    terms = [(c, format_word(n, names)) for n, c in e]
     return {
-        "terms": [[str(c), format_word(n, names)] for n, c in e],
-        "text": format_element(e, names),
+        "terms": [[str(c), body] for c, body in terms],
+        "text": _signed_sum(terms),
     }
 
 
@@ -138,8 +142,8 @@ def cmd_bracket(args):
         )
         rule = BracketRule.canonical(d)
     result = necklace_bracket(rule, e1, e2)
-    text = [f"bracket: {format_element(result, names)}"]
     payload = {"bracket": _necklace_element_json(result, names)}
+    text = [f"bracket: {payload['bracket']['text']}"]
     if not canonical:
         return text, payload, None, True
     terms = {}
@@ -149,8 +153,8 @@ def cmd_bracket(args):
                 terms[neck] = terms.get(neck, 0) + c1 * c2 * v
     oracle = NecklaceElement(terms)
     agree = oracle == result
-    text += [f"splice oracle: {format_element(oracle)}", "agree" if agree else "DISAGREE"]
     payload.update(oracle=_necklace_element_json(oracle), agree=agree)
+    text += [f"splice oracle: {payload['oracle']['text']}", "agree" if agree else "DISAGREE"]
     return text, payload, None, agree
 
 
@@ -227,10 +231,12 @@ def cmd_table2(args):
 
 def cmd_center(args):
     d, n, bound = args.d, args.n, args.bound
+    lam = parse_rational(args.witness_lambda)
     report = center_check(d, n, bound)
     element = center_element(d, n)
+    element_json = _necklace_element_json(element)
     text = [
-        f"central element c_{n} for d={d}: {format_element(element)}",
+        f"central element c_{n} for d={d}: {element_json['text']}",
         f"brackets checked against necklaces of degree <= {bound}: "
         f"{report.samples_checked}, violations: {len(report.violations)}",
     ]
@@ -238,13 +244,12 @@ def cmd_center(args):
         "d": d,
         "n": n,
         "degree_bound": bound,
-        "element": _necklace_element_json(element),
+        "element": element_json,
         "is_zero": element.is_zero,
         "checked": report.samples_checked,
         "violations": len(report.violations),
     }
     if d == 1:
-        lam = Fraction(args.witness_lambda)
         value = center_witness(n, lam)
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": str(value)}
@@ -327,7 +332,7 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
-    coords = [Fraction(v) for v in (args.X, args.Y, args.E, args.F, args.H)]
+    coords = [parse_rational(v) for v in (args.X, args.Y, args.E, args.F, args.H)]
     got = classify_point(coords)
     text = [str(got)]
     payload = {
@@ -350,15 +355,9 @@ def cmd_ngl(args):
     units = sorted(names)
     for a in units:
         for b in units:
-            got = necklace_bracket(rule, Word([a]), Word([b]))
-            pairs.append(
-                {
-                    "a": names[a],
-                    "b": names[b],
-                    "bracket": format_element(got, names),
-                }
-            )
-            text.append(f"  {{{names[a]}, {names[b]}}} = {format_element(got, names)}")
+            got = format_element(necklace_bracket(rule, Word([a]), Word([b])), names)
+            pairs.append({"a": names[a], "b": names[b], "bracket": got})
+            text.append(f"  {{{names[a]}, {names[b]}}} = {got}")
     text.append(f"matches matrix commutators: {report.ok}")
     payload = {"n": n, "pairs": pairs, "matches_commutators": report.ok}
     return text, payload, None, report.ok
@@ -402,22 +401,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    common.add_argument("--max-degree", type=_positive_int, default=None)
-    common.add_argument("--output", default=None, help="write output to this path")
+def _global_flags(**defaults) -> argparse.ArgumentParser:
+    """The global flags, which set only the given defaults."""
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--format", choices=("text", "json", "csv"))
+    flags.add_argument("--seed", type=int, help="seed for sampled checks")
+    flags.add_argument("--max-degree", type=_positive_int)
+    flags.add_argument("--output", help="write output to this path")
+    flags.set_defaults(**defaults)
+    return flags
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="necklaces",
         description="Exact computations in necklace Lie algebras of free algebras.",
-        parents=[common],
+        parents=[_global_flags(format="text", seed=0, max_degree=None, output=None)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags again after the command, without defaults: a command's copy
+    # with defaults would reset a flag given before the command
+    after = _global_flags()
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        return sub.add_parser(name, parents=[after], **kwargs)
 
     p = add_parser("dims", help="necklace dimensions: formula vs enumeration")
     p.add_argument("d", type=_positive_int)

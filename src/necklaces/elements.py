@@ -3,10 +3,11 @@
 Keys are words (tuples of int-coded letters, see words), necklaces, or
 tuples of those.  A necklace is the word of its least rotation: a Word
 subclass that only prints differently.  Words and necklaces order
-themselves by (length, codes), so iterating a combination sorts by the key
-itself.  A coefficient is an int, or a fractions.Fraction whose denominator
-is not 1: _coeff, the one coercion point, stores an integral Fraction as
-its int numerator, so integer arithmetic stays in int until a true quotient
+themselves by (length, codes), and iterating a combination sorts its terms
+in that order, by a key of plain ints and tuples that compares in C.  A
+coefficient is an int, or a fractions.Fraction whose denominator is not 1:
+_coeff, the one coercion point, stores an integral Fraction as its int
+numerator, so integer arithmetic stays in int until a true quotient
 appears.  Printing, equality and hashing are the same either way, since
 str(3) == str(Fraction(3)), 3 == Fraction(3) and their hashes agree.
 
@@ -110,11 +111,26 @@ class _Combination:
     def __len__(self):
         return len(self.terms)
 
+    # the sort key of a (key, coefficient) item; subclasses whose keys are
+    # words give one that compares in C, see _by_word and _by_words
+    _order = staticmethod(lambda kv: kv[0])
+
     def __iter__(self):
-        return iter(sorted(self.terms.items(), key=lambda kv: kv[0]))
+        return iter(sorted(self.terms.items(), key=self._order))
 
     def coefficient(self, key):
         return self.terms.get(key, 0)
+
+
+def _by_word(kv):
+    """Word's (length, codes) order as a key of plain ints and tuples."""
+    w = kv[0]
+    return len(w), tuple(w)
+
+
+def _by_words(kv):
+    """The elementwise _by_word key of a tuple of words."""
+    return tuple([(len(w), tuple(w)) for w in kv[0]])
 
 
 def _power(base, n: int, one):
@@ -133,6 +149,8 @@ def _power(base, n: int, one):
 
 class FreeElement(_Combination):
     """An element of the free algebra: finite map Word -> coefficient."""
+
+    _order = staticmethod(_by_word)
 
     @classmethod
     def of(cls, w: Word, c=1) -> "FreeElement":
@@ -212,6 +230,8 @@ UNIT_NECKLACE = Necklace()
 class NecklaceElement(_Combination):
     """An element of the necklace space: finite map Necklace -> coefficient."""
 
+    _order = staticmethod(_by_word)
+
     @classmethod
     def of(cls, n, c=1) -> "NecklaceElement":
         return cls({Necklace.of(n): c})
@@ -251,6 +271,8 @@ def _as_necklace_element(e) -> NecklaceElement:
 
 class TensorElement(_Combination):
     """An element of A (x) A: finite map (Word, Word) -> coefficient."""
+
+    _order = staticmethod(_by_words)
 
     @classmethod
     def of(cls, left: Word, right: Word, c=1) -> "TensorElement":
@@ -295,6 +317,8 @@ class TensorElement(_Combination):
 class TripleTensor(_Combination):
     """An element of A (x) A (x) A, with the cyclic-shift actions."""
 
+    _order = staticmethod(_by_words)
+
     def shift(self) -> "TripleTensor":
         """sigma: a (x) b (x) c -> c (x) a (x) b."""
         return TripleTensor({(c, a, b): v for (a, b, c), v in self.terms.items()})
@@ -314,6 +338,15 @@ class TripleTensor(_Combination):
 # --- element grammar -------------------------------------------------------
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An exact rational from "p", "p/q" or any other literal Fraction reads;
+    a zero denominator is a ValueError that names the input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeElement:
@@ -342,7 +375,7 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
         m = _RATIONAL.match(term)
         coeff = 1
         if m and (m.end() == len(term) or not term[m.start()].isalpha()):
-            coeff = Fraction(m.group(0))
+            coeff = parse_rational(m.group(0))
             term = term[m.end():].strip()
             if term.startswith("*"):
                 term = term[1:].strip()
@@ -354,7 +387,7 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
 def _signed_sum(terms) -> str:
     """Render (coefficient, body) pairs as "b1 + 2*b2 - b3": coefficients 1
     and -1 are left out and an empty body is a constant; no terms give "0"."""
-    text = ""
+    chunks = []
     for c, body in terms:
         if not body:
             chunk = str(c)
@@ -364,11 +397,13 @@ def _signed_sum(terms) -> str:
             chunk = f"-{body}"
         else:
             chunk = f"{c}*{body}"
-        if not text:
-            text = chunk
+        if not chunks:
+            chunks.append(chunk)
+        elif chunk[0] == "-":
+            chunks += (" - ", chunk[1:])
         else:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-    return text or "0"
+            chunks += (" + ", chunk)
+    return "".join(chunks) or "0"
 
 
 def format_element(e, names: dict[Letter, str] | None = None) -> str:

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .brackets import BracketRule, necklace_bracket
-from .elements import Necklace, NecklaceElement, TensorElement
+from .elements import Necklace, NecklaceElement, TensorElement, parse_rational
 from .report import CheckReport
 from .words import EMPTY_WORD, Letter, Word, unstarred
 
@@ -101,7 +101,7 @@ class StructureConstants:
             if any(type(x) is not int for x in (i, j, k)):
                 raise ValueError(f'the indices of entry {entry!r} of "a" must be integers')
             try:
-                table[(i, j, k)] = Fraction(v)
+                table[(i, j, k)] = parse_rational(v)
             except TypeError:
                 raise ValueError(f'the value of entry {entry!r} of "a" is not a number') from None
         return cls(dim, table)

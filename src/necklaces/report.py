@@ -2,20 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckEntry:
-    label: str
-    ok: bool
-    detail: str = ""
+    """One named check, its outcome and an optional detail."""
+
+    __slots__ = ("label", "ok", "detail")
+
+    def __init__(self, label: str, ok: bool, detail: str = ""):
+        self.label, self.ok, self.detail = label, ok, detail
+
+    def __eq__(self, other):
+        if type(other) is not CheckEntry:
+            return NotImplemented
+        return (self.label, self.ok, self.detail) == (other.label, other.ok, other.detail)
+
+    def __repr__(self):
+        return f"CheckEntry({self.label!r}, {self.ok!r}, {self.detail!r})"
 
 
-@dataclass
 class CheckReport:
-    title: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    """A titled list of check entries; it passes when every entry does."""
+
+    __slots__ = ("title", "entries")
+
+    def __init__(self, title: str, entries: list[CheckEntry] | None = None):
+        self.title = title
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return (self.title, self.entries) == (other.title, other.entries)
+
+    def __repr__(self):
+        return f"CheckReport({self.title!r}, {self.entries!r})"
 
     def add(self, label: str, ok: bool, detail: str = ""):
         self.entries.append(CheckEntry(label, bool(ok), detail))

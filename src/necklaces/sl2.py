@@ -11,7 +11,6 @@ V_k.  Three independent routes to the multiplicities are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -24,11 +23,35 @@ from .traces import abelianize
 from .words import Letter, Word, letters
 
 
-@dataclass(frozen=True)
 class Sl2Generators:
-    E: NecklaceElement
-    F: NecklaceElement
-    H: NecklaceElement
+    """The sl2 triple (E, F, H) of necklace elements; immutable and hashable."""
+
+    __slots__ = ("E", "F", "H")
+
+    def __init__(self, E: NecklaceElement, F: NecklaceElement, H: NecklaceElement):
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "H", H)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Sl2Generators is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Sl2Generators is immutable")
+
+    def _triple(self):
+        return self.E, self.F, self.H
+
+    def __eq__(self, other):
+        if type(other) is not Sl2Generators:
+            return NotImplemented
+        return self._triple() == other._triple()
+
+    def __hash__(self):
+        return hash(self._triple())
+
+    def __repr__(self):
+        return f"Sl2Generators(E={self.E!r}, F={self.F!r}, H={self.H!r})"
 
 
 def sl2_generators() -> Sl2Generators:
@@ -77,12 +100,17 @@ def multiplicity_formula(n: int, m: int) -> int:
     return value
 
 
-@dataclass
 class WeightDecomposition:
     """Multiplicities of the highest weight modules inside one degree."""
 
-    degree: int
-    multiplicities: dict[int, int]
+    __slots__ = ("degree", "multiplicities")
+
+    def __init__(self, degree: int, multiplicities: dict[int, int]):
+        self.degree = degree
+        self.multiplicities = multiplicities
+
+    def __repr__(self):
+        return f"WeightDecomposition({self.degree!r}, {self.multiplicities!r})"
 
     def multiplicity(self, weight: int) -> int:
         return self.multiplicities.get(weight, 0)

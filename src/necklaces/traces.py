@@ -12,7 +12,6 @@ identity in the 8 matrix-entry indeterminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -96,7 +95,6 @@ _NECKLACE_TO_GENERATOR = {
 }
 
 
-@dataclass
 class InducedBracket:
     """Poisson bracket of two traced necklaces on n x n matrices.
 
@@ -106,10 +104,10 @@ class InducedBracket:
     necklace element is provided.
     """
 
-    raw: NecklaceElement
-    expression: Polynomial | None
-    reduced: bool
-    n: int
+    __slots__ = ("raw", "expression", "reduced", "n")
+
+    def __init__(self, raw: NecklaceElement, expression: Polynomial | None, reduced: bool, n: int):
+        self.raw, self.expression, self.reduced, self.n = raw, expression, reduced, n
 
 
 def induced_bracket(w1, w2, n: int) -> InducedBracket:
@@ -130,10 +128,13 @@ def induced_bracket(w1, w2, n: int) -> InducedBracket:
     return InducedBracket(raw, Polynomial(expr), True, 2)
 
 
-@dataclass
 class Table2:
-    generators: tuple[str, ...]
-    entries: list[list[Polynomial]]
+    """The bracket table of the trace generators, entries[i][j] = {g_i, g_j}."""
+
+    __slots__ = ("generators", "entries")
+
+    def __init__(self, generators: tuple[str, ...], entries: list[list[Polynomial]]):
+        self.generators, self.entries = generators, entries
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
@@ -383,14 +384,17 @@ TAU2 = "[(1,1);(1,1)]"
 TAU3 = "[(1,2)]"
 
 
-@dataclass
 class LeafClass:
-    """Symplectic-leaf and representation-type classification of a point."""
+    """Symplectic-leaf and representation-type classification of a point.
 
-    leaf: str  # "S_lambda", "S_0'" or "S_0''"
-    luna_type: str
-    casimir: object  # exact Fraction or float/complex
-    primed: tuple  # (E', F', H')
+    `leaf` is "S_lambda", "S_0'" or "S_0''"; `casimir` is an exact Fraction,
+    or a float or complex for inexact input; `primed` is (E', F', H').
+    """
+
+    __slots__ = ("leaf", "luna_type", "casimir", "primed")
+
+    def __init__(self, leaf: str, luna_type: str, casimir, primed: tuple):
+        self.leaf, self.luna_type, self.casimir, self.primed = leaf, luna_type, casimir, primed
 
     def __str__(self):
         if self.leaf == "S_lambda":

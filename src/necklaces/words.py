@@ -208,5 +208,5 @@ def format_word(w: Word, names: dict[Letter, str] | None = None) -> str:
     if not w:
         return "1"
     if names is None:
-        return "".join(a.name for a in w)
-    return "".join(names.get(a, a.name) for a in w)
+        return "".join([a.name for a in w])
+    return "".join([names.get(a, a.name) for a in w])

@@ -5,6 +5,7 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
+    GradedBracketReport,
     TraceElement,
     center_check,
     center_element,
@@ -273,6 +274,14 @@ def test_center_check_reports_violations_for_noncentral(monkeypatch):
     neck, got = report.violations[0]
     assert neck == Necklace.of("x")
     assert got == NecklaceElement.of("x", -1)
+
+
+def test_graded_bracket_reports_do_not_share_violations():
+    a = GradedBracketReport(degree_shift=-2, samples_checked=0)
+    b = GradedBracketReport(-2, 0)
+    a.violations.append("witness")
+    assert b.violations == [] and b.ok and not a.ok
+    assert center_check(1, 2, 2).violations is not center_check(1, 2, 2).violations
 
 
 def test_trace_algebra_derivation_word_part():

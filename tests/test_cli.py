@@ -195,6 +195,9 @@ BAD_RULE_FILES = {
         ["bracket", "x", "x*", "--rule", "{tmp}/not_an_object.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/short_entry.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/fractional_index.json"],
+        ["classify", "1", "2", "3", "4", "1/0"],
+        ["center", "1", "2", "3", "--witness-lambda=1/0"],
+        ["center", "2", "2", "3", "--witness-lambda=abc"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -240,3 +243,44 @@ def test_table1_validates_rows_up_to_the_sl2_bound(capsys, monkeypatch):
     assert code == 0
     agrees = [row["oracle_agrees"] for row in json.loads(out)["rows"]]
     assert agrees == [True, True, True, None, None]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1", "2", "3", "4", "1/0"],
+        ["bracket", "1/0*x1", "x1*"],
+        ["center", "1", "2", "3", "--witness-lambda=1/0"],
+    ],
+)
+def test_zero_denominator_names_the_input(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"necklaces {argv[0]}: error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--format", "json"], ["--seed", "7"], ["--max-degree", "3"], ["--output", "out.txt"]],
+    ids=lambda flag: flag[0],
+)
+def test_global_flags_parse_the_same_before_and_after_the_command(flag):
+    parse = cli.build_parser().parse_args
+    before = vars(parse([*flag, "verify", "jacobi"]))
+    after = vars(parse(["verify", "jacobi", *flag]))
+    assert before == after != vars(parse(["verify", "jacobi"]))
+
+
+def test_global_flags_before_the_command_take_effect(capsys):
+    before = run(capsys, "--seed", "7", "verify", "jacobi", "--format", "json")
+    after = run(capsys, "verify", "jacobi", "--seed", "7", "--format", "json")
+    assert before == after and before[0] == 0
+    code, out = run(capsys, "--format", "json", "dims", "1", "2")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_output_flag_before_the_command(tmp_path, capsys):
+    path = tmp_path / "dims.csv"
+    code, out = run(capsys, "--output", str(path), "--format", "csv", "dims", "1", "3")
+    assert code == 0 and out == ""
+    assert path.read_text().startswith("k,formula,enumerated,ok")

@@ -15,8 +15,10 @@ from necklaces.elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
+    TripleTensor,
     format_element,
     parse_element,
+    project_to_necklace,
 )
 from necklaces.linear_rules import matrix_unit_names
 from necklaces.sampling import random_word, rng
@@ -158,3 +160,17 @@ def test_tensor_and_trace_elements_iterate_in_word_order():
             key=lambda k: (tuple(word_key(n.representative) for n in k[0]), word_key(k[1])),
         )
         assert got == want
+
+
+def test_iteration_order_is_the_word_lt_order():
+    # iteration sorts by a key of plain ints and tuples; sorting the keys
+    # themselves, through Word.__lt__, is the independent oracle
+    r = rng(17)
+    alphabet = letters(2)
+    for _ in range(50):
+        e = random_element(r, alphabet, terms=12, max_len=6)
+        n = project_to_necklace(e)
+        t = TensorElement({(random_word(r, alphabet, 0, 4), w): c for w, c in e.terms.items()})
+        t3 = TripleTensor({(w, *k): c for (k, c), w in zip(t.terms.items(), e.terms)})
+        for combination in (e, n, t, t3):
+            assert [k for k, _ in combination] == sorted(combination.terms)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import necklace_dimension
 from necklaces.elements import NecklaceElement
 from necklaces.sl2 import (
+    Sl2Generators,
     WeightDecomposition,
     check_low_degree_structure,
     cn_multiplicity,
@@ -144,3 +147,22 @@ def test_low_degree_structure_d1():
 def test_low_degree_structure_d2():
     report = check_low_degree_structure(2)
     assert report.ok, "\n".join(str(e) for e in report.failures())
+
+
+def test_sl2_generators_are_an_immutable_hashable_value():
+    g, again = sl2_generators(), sl2_generators()
+    assert g == again and hash(g) == hash(again) and len({g, again}) == 1
+    swapped = Sl2Generators(E=g.F, F=g.E, H=g.H)
+    assert swapped != g and Sl2Generators(g.E, g.F, g.H) == g
+    with pytest.raises(AttributeError):
+        g.E = g.F
+    with pytest.raises(AttributeError):
+        del g.H
+    assert g.E == NecklaceElement.of("x*x*", Fraction(1, 2))
+    assert repr(g) == "Sl2Generators(E=1/2*x1*x1*, F=-1/2*x1x1, H=x1x1*)"
+
+
+def test_weight_decomposition_ignores_zero_multiplicities():
+    assert WeightDecomposition(4, {4: 1, 0: 1, 2: 0}) == WeightDecomposition(4, {0: 1, 4: 1})
+    assert WeightDecomposition(4, {4: 1}) != WeightDecomposition(5, {4: 1})
+    assert repr(WeightDecomposition(2, {2: 1})) == "WeightDecomposition(2, {2: 1})"

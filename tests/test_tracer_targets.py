@@ -1,18 +1,25 @@
-"""The benchmark's traced layers must still exist in the package.
+"""The benchmark's traced layers must still exist in the package, and be
+loaded by the import every command makes.
 
 perfbench/tracer.py names each layer function by module, class and
 attribute; a rename would only drop that layer's metrics from a traced run.
-The tracer is imported by path and its install() is not called, so nothing
-is wrapped.
+Its install() wraps only modules already loaded, so `import necklaces.cli`
+must load every traced module.  The tracer is imported by path and its
+install() is not called, so nothing is wrapped.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _targets():
@@ -29,3 +36,17 @@ def test_traced_layer_resolves(name, module, cls, attrs):
         owner = getattr(owner, cls)
     for attr in attrs:
         assert callable(getattr(owner, attr)), f"{name}: {attr} is not callable"
+
+
+def test_cli_import_loads_the_traced_modules_and_not_dataclasses():
+    # a fresh interpreter: this one has loaded whatever the other tests did
+    code = "import sys, json, necklaces.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(json.loads(out))
+    # start-up cost paid by every command: dataclasses pulls in inspect
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    traced = {f"necklaces.{t[1]}" for t in _targets()}
+    assert traced <= loaded, sorted(traced - loaded)
