@@ -17,8 +17,8 @@ print()
 for n in (2, 3):
     report = center_check(1, n, 6)
     print(
-        f"{{c_{n}, w}} over all {report.samples_checked} necklaces of degree <= 6: "
-        f"{len(report.violations)} violations"
+        f"{{c_{n}, w}} over all {len(report.entries)} necklaces of degree <= 6: "
+        f"{len(report.failures())} violations"
     )
 print()
 
@@ -34,6 +34,6 @@ print("so the center contains an infinite independent family.")
 # two symbol pairs: c = [x1,x1*] + [x2,x2*] is already central
 report = center_check(2, 1, 4)
 print(
-    f"\nd=2: {{c_1, w}} over {report.samples_checked} necklaces of degree <= 4: "
-    f"{len(report.violations)} violations"
+    f"\nd=2: {{c_1, w}} over {len(report.entries)} necklaces of degree <= 4: "
+    f"{len(report.failures())} violations"
 )

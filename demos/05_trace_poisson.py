@@ -33,7 +33,7 @@ print("tr of the degree-4 central element, rewritten in the generators:")
 print("  tr([x,x*]^2) =", express_in_trace_generators(center_element(1, 2)))
 print()
 
-print(verify_cayley_hamilton(2))
+print(verify_cayley_hamilton())
 print()
 print(casimir_image())
 print()

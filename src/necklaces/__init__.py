@@ -9,7 +9,6 @@ on generic matrices transports the bracket to trace rings.
 
 from .brackets import (
     BracketRule,
-    GradedBracketReport,
     TraceElement,
     center_check,
     center_element,
@@ -69,7 +68,6 @@ from .sl2 import (
     word_weight,
 )
 from .traces import (
-    InducedBracket,
     LeafClass,
     casimir_image,
     casimir_image_as_displayed,

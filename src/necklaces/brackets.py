@@ -18,6 +18,7 @@ the second; under the canonical rule that is x_i against x_i* alone.
 
 from __future__ import annotations
 
+from .counting import enumerate_necklaces
 from .elements import (
     FreeElement,
     Necklace,
@@ -26,8 +27,11 @@ from .elements import (
     TripleTensor,
     _as_necklace_element,
     _Combination,
+    format_element,
+    parse_element,
     project_to_necklace,
 )
+from .report import CheckReport
 from .words import Letter, Word, letters
 
 
@@ -92,8 +96,6 @@ def _as_free(e) -> FreeElement:
     if isinstance(e, Word):
         return FreeElement.of(e)
     if isinstance(e, str):
-        from .elements import parse_element
-
         return parse_element(e)
     raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
 
@@ -253,55 +255,37 @@ def center_element(d: int, n: int) -> NecklaceElement:
     return project_to_necklace(FreeElement(terms) ** n)
 
 
-class GradedBracketReport:
-    """Outcome of a family of bracket checks; empty violations means pass."""
-
-    __slots__ = ("degree_shift", "samples_checked", "violations")
-
-    def __init__(self, degree_shift: int, samples_checked: int, violations: list | None = None):
-        self.degree_shift = degree_shift
-        self.samples_checked = samples_checked
-        self.violations = [] if violations is None else violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def center_check(d: int, n: int, degree_bound: int) -> GradedBracketReport:
+def center_check(d: int, n: int, degree_bound: int) -> CheckReport:
     """Bracket the n-th central element against every necklace of degree
-    <= degree_bound; all brackets must vanish."""
+    <= degree_bound, one entry each; a nonzero bracket is the witness."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    from .counting import enumerate_necklaces
-
     rule = BracketRule.canonical(d)
     cn = center_element(d, n)
-    report = GradedBracketReport(degree_shift=-2, samples_checked=0)
+    report = CheckReport(f"c_{n} is central, d={d}, degree <= {degree_bound}")
     for k in range(0, degree_bound + 1):
         for neck in enumerate_necklaces(d, k):
             got = necklace_bracket(rule, cn, NecklaceElement.of(neck))
-            report.samples_checked += 1
-            if not got.is_zero:
-                report.violations.append((neck, got))
+            ok = got.is_zero
+            report.add(f"{{c_{n}, {neck!r}}} = 0", ok, "" if ok else format_element(got))
     return report
 
 
-def check_grading(rule: BracketRule, pairs) -> GradedBracketReport:
+def check_grading(rule: BracketRule, pairs) -> CheckReport:
     """Check deg {w1, w2} == deg w1 + deg w2 + shift on all given necklace
-    pairs (only nonzero homogeneous outputs constrain anything)."""
+    pairs, one entry each (only nonzero homogeneous outputs constrain
+    anything); a failure names a necklace of the wrong degree."""
     shift = rule.degree_shift
     if shift is None:
         raise ValueError("rule declares no degree shift")
-    report = GradedBracketReport(degree_shift=shift, samples_checked=0)
+    report = CheckReport(f"necklace bracket has degree {shift}")
     for n1, n2 in pairs:
         n1, n2 = Necklace.of(n1), Necklace.of(n2)
-        got = necklace_bracket(rule, n1, n2)
-        report.samples_checked += 1
         expected = n1.degree + n2.degree + shift
-        for neck in got.terms:
-            if neck.degree != expected:
-                report.violations.append((n1, n2, neck.degree, expected))
+        got = necklace_bracket(rule, n1, n2)
+        wrong = min((k for k in got.terms if k.degree != expected), default=None)
+        detail = "" if wrong is None else f"{wrong!r} has degree {wrong.degree}, expected {expected}"
+        report.add(f"{{{n1!r}, {n2!r}}}", wrong is None, detail)
     return report
 
 

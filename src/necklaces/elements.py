@@ -212,11 +212,6 @@ class Necklace(Word):
         return tuple.__new__(cls, canonical_rotation(w))
 
     @property
-    def representative(self) -> "Necklace":
-        """The canonical word, which is the necklace itself."""
-        return self
-
-    @property
     def degree(self) -> int:
         return len(self)
 
@@ -239,9 +234,6 @@ class NecklaceElement(_Combination):
     @classmethod
     def unit(cls, c=1) -> "NecklaceElement":
         return cls({UNIT_NECKLACE: c})
-
-    def degrees(self):
-        return sorted({n.degree for n in self.terms})
 
     def __repr__(self):
         return format_element(self)
@@ -372,6 +364,8 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
             if term[0] == "-":
                 sign = -sign
             term = term[1:].strip()
+        if not term:
+            raise ValueError(f"empty term in {text!r}")
         m = _RATIONAL.match(term)
         coeff = 1
         if m and (m.end() == len(term) or not term[m.start()].isalpha()):
@@ -379,6 +373,8 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
             term = term[m.end():].strip()
             if term.startswith("*"):
                 term = term[1:].strip()
+                if not term:
+                    raise ValueError(f"empty term in {text!r}")
         w = parse_word(term, alphabet) if term else EMPTY_WORD
         out[w] = out.get(w, 0) + sign * coeff
     return FreeElement(out)

@@ -84,7 +84,7 @@ class StructureConstants:
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants":
         """{"dim": n, "a": [[i, j, k, "p/q"], ...]}; omitted entries are 0."""
-        data = json.loads(text)
+        data = json.loads(text, parse_float=Fraction)
         if not isinstance(data, dict):
             raise ValueError("a rule file must hold a JSON object")
         dim = data.get("dim")
@@ -102,7 +102,7 @@ class StructureConstants:
                 raise ValueError(f'the indices of entry {entry!r} of "a" must be integers')
             try:
                 table[(i, j, k)] = parse_rational(v)
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise ValueError(f'the value of entry {entry!r} of "a" is not a number') from None
         return cls(dim, table)
 

@@ -148,66 +148,6 @@ class Polynomial(_Combination):
                 out[mono] = out.get(mono, 0) + v
         return Polynomial(out)
 
-    @classmethod
-    def parse(cls, text: str, names) -> "Polynomial":
-        """Parse an expression in the given variable names, as printed by
-        __repr__: terms like "-2*tr(x)^2*tr(xx*)" joined by + and -.
-
-        Variable names are matched longest-first, so names containing '*'
-        or '^' (e.g. "tr((x*)^2)") are unambiguous.
-        """
-        names = sorted(names, key=len, reverse=True)
-        pos, n = 0, len(text)
-
-        def skip_ws():
-            nonlocal pos
-            while pos < n and text[pos].isspace():
-                pos += 1
-
-        def parse_factor():
-            nonlocal pos
-            for name in names:
-                if text.startswith(name, pos):
-                    pos += len(name)
-                    exp = 1
-                    if pos < n and text[pos] == "^":
-                        pos += 1
-                        start = pos
-                        while pos < n and text[pos].isdigit():
-                            pos += 1
-                        exp = int(text[start:pos])
-                    return cls.variable(name, exp)
-            start = pos
-            while pos < n and (text[pos].isdigit() or text[pos] == "/"):
-                pos += 1
-            if pos == start:
-                raise ValueError(f"cannot parse polynomial at {text[start:]!r}")
-            return cls.constant(Fraction(text[start:pos]))
-
-        out: dict[Monomial, Fraction] = {}
-        skip_ws()
-        if not text.strip() or text.strip() == "0":
-            return cls()
-        while pos < n:
-            sign = 1
-            skip_ws()
-            while pos < n and text[pos] in "+-":
-                if text[pos] == "-":
-                    sign = -sign
-                pos += 1
-                skip_ws()
-            term = cls.constant(sign)
-            term = term * parse_factor()
-            skip_ws()
-            while pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                term = term * parse_factor()
-                skip_ws()
-            for mono, v in term.terms.items():
-                out[mono] = out.get(mono, 0) + v
-        return cls(out)
-
     def __repr__(self):
         return _signed_sum(
             (self.terms[m], "*".join(name if e == 1 else f"{name}^{e}" for name, e in m))

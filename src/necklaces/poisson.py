@@ -13,7 +13,6 @@ of pairs of 2x2 matrices, and the same structure in the coordinates
 from __future__ import annotations
 
 import itertools
-import json
 
 from .multipoly import Polynomial
 from .report import CheckReport
@@ -80,24 +79,6 @@ class PoissonPolyAlgebra:
                 for m, c in (fi * gj * self.table[i][j]).terms.items():
                     out[m] = out.get(m, 0) + c
         return Polynomial(out)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "generators": list(self.generators),
-                "table": [[repr(e) for e in row] for row in self.table],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PoissonPolyAlgebra":
-        """{"generators": [...], "table": [[expr, ...], ...]}; entries are
-        expression strings in the generators.  Validated on construction."""
-        data = json.loads(text)
-        gens = data["generators"]
-        table = [[Polynomial.parse(e, gens) for e in row] for row in data["table"]]
-        return cls(gens, table)
 
 
 # --- presets ---------------------------------------------------------------

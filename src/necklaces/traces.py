@@ -95,37 +95,18 @@ _NECKLACE_TO_GENERATOR = {
 }
 
 
-class InducedBracket:
-    """Poisson bracket of two traced necklaces on n x n matrices.
-
-    `expression` is a polynomial in the trace generators when the result
-    could be rewritten (always at n = 1, and at n = 2 whenever the bracket
-    lands in degree <= 2); otherwise `reduced` is False and only the raw
-    necklace element is provided.
-    """
-
-    __slots__ = ("raw", "expression", "reduced", "n")
-
-    def __init__(self, raw: NecklaceElement, expression: Polynomial | None, reduced: bool, n: int):
-        self.raw, self.expression, self.reduced, self.n = raw, expression, reduced, n
-
-
-def induced_bracket(w1, w2, n: int) -> InducedBracket:
-    """Necklace bracket followed by the trace map tr with tr(1) = n."""
-    raw = necklace_bracket(BracketRule.canonical(1), w1, w2)
-    if n == 1:
-        return InducedBracket(raw, abelianize(raw), True, 1)
-    if n != 2:
-        raise ValueError("only n = 1 and n = 2 are supported")
-    expr: dict = {}
-    for neck, c in raw.terms.items():
+def induced_bracket(w1, w2) -> Polynomial:
+    """The necklace bracket at n = 2 as a polynomial in the five trace
+    generators; an ArithmeticError when it leaves degree <= 2."""
+    out: dict = {}
+    for neck, c in necklace_bracket(BracketRule.canonical(1), w1, w2).terms.items():
         if neck not in _NECKLACE_TO_GENERATOR:
-            return InducedBracket(raw, None, False, 2)
+            raise ArithmeticError(f"bracket of {w1}, {w2} leaves degree <= 2")
         gen = _NECKLACE_TO_GENERATOR[neck]
         term = Polynomial.constant(2 * c) if gen is None else Polynomial.variable(gen) * c
         for m, v in term.terms.items():
-            expr[m] = expr.get(m, 0) + v
-    return InducedBracket(raw, Polynomial(expr), True, 2)
+            out[m] = out.get(m, 0) + v
+    return Polynomial(out)
 
 
 class Table2:
@@ -153,15 +134,7 @@ class Table2:
 
 def table2() -> Table2:
     """The 5 x 5 bracket table of the trace generators at n = 2."""
-    entries = []
-    for a in _TABLE2_NECKLACES:
-        row = []
-        for b in _TABLE2_NECKLACES:
-            got = induced_bracket(a, b, 2)
-            if not got.reduced:
-                raise ArithmeticError(f"bracket of {a}, {b} left the generator range")
-            row.append(got.expression)
-        entries.append(row)
+    entries = [[induced_bracket(a, b) for b in _TABLE2_NECKLACES] for a in _TABLE2_NECKLACES]
     return Table2(GENERATORS, entries)
 
 
@@ -185,8 +158,8 @@ def _candidate_exponents(degree: int):
     return out
 
 
-def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
-    """Rewrite the trace of a necklace element (degree <= max_degree) as a
+def express_in_trace_generators(e) -> Polynomial:
+    """Rewrite the trace of a necklace element of degree <= 4 as a
     polynomial in the five generators, by exact linear solve against the
     generic-matrix evaluation.  The result is verified by substitution."""
     e = _as_necklace_element(e)
@@ -194,8 +167,8 @@ def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
     gen_list = [gens[name] for name in GENERATORS]
     terms: dict = {}
     for degree, part in _homogeneous_parts(e).items():
-        if degree > max_degree:
-            raise ValueError(f"degree {degree} exceeds the rewriting bound {max_degree}")
+        if degree > 4:
+            raise ValueError(f"degree {degree} exceeds the rewriting bound 4")
         target = trace_of(part, list(_mats2()))
         if target.is_zero:
             continue
@@ -238,11 +211,10 @@ def express_in_trace_generators(e, max_degree: int = 4) -> Polynomial:
     return result
 
 
-def verify_cayley_hamilton(nmax: int = 2) -> CheckReport:
-    """tr([x,x*]^{2n}) = 2^{1-n} tr([x,x*]^2)^n and odd traces vanish, as
-    exact identities in the 8 indeterminates of two generic 2x2 matrices."""
-    if not 1 <= nmax <= 3:
-        raise ValueError("nmax must be between 1 and 3")
+def verify_cayley_hamilton() -> CheckReport:
+    """tr([x,x*]^{2n}) = 2^{1-n} tr([x,x*]^2)^n for n = 1, 2 and the odd
+    traces up to tr([x,x*]^5) vanish, as exact identities in the 8
+    indeterminates of two generic 2x2 matrices."""
     x, xs = _mats2()
     m = x * xs - xs * x
     report = CheckReport("Cayley-Hamilton consequences at n=2")
@@ -250,7 +222,7 @@ def verify_cayley_hamilton(nmax: int = 2) -> CheckReport:
     tr2 = m2.trace()
     report.add("tr([x,x*]) = 0", m.trace().is_zero)
     power = PolyMatrix.identity(2)
-    for k in range(1, nmax + 1):
+    for k in (1, 2):
         power = power * m2  # power = m^{2k}
         lhs = power.trace()
         rhs = tr2**k * Fraction(2) ** (1 - k)

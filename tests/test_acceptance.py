@@ -234,7 +234,7 @@ def test_criterion_07_center():
 
 
 def test_criterion_08_cayley_hamilton():
-    report = verify_cayley_hamilton(2)
+    report = verify_cayley_hamilton()
     labels = {e.label: e.ok for e in report.entries}
     ok = (
         labels.get("tr([x,x*]^4) = 2^(1-2) tr([x,x*]^2)^2", False)

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from necklaces import cli
+from necklaces import brackets, cli
 from necklaces.cli import main
-from necklaces.elements import TripleTensor
-from necklaces.words import word
+from necklaces.elements import Necklace, NecklaceElement, TripleTensor
+from necklaces.words import Word, word
 
 
 def run(capsys, *argv):
@@ -172,6 +172,7 @@ BAD_RULE_FILES = {
     "not_an_object.json": "[1]",
     "short_entry.json": '{"dim": 1, "a": [[1, 1, 1]]}',
     "fractional_index.json": '{"dim": 1, "a": [[1.5, 1, 1, "1"]]}',
+    "infinite_value.json": '{"dim": 1, "a": [[1, 1, 1, Infinity]]}',
 }
 
 
@@ -195,9 +196,12 @@ BAD_RULE_FILES = {
         ["bracket", "x", "x*", "--rule", "{tmp}/not_an_object.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/short_entry.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/fractional_index.json"],
+        ["bracket", "x", "x*", "--rule", "{tmp}/infinite_value.json"],
         ["classify", "1", "2", "3", "4", "1/0"],
         ["center", "1", "2", "3", "--witness-lambda=1/0"],
         ["center", "2", "2", "3", "--witness-lambda=abc"],
+        ["bracket", "x +", "x*"],
+        ["bracket", "2*", "x"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -226,6 +230,39 @@ def test_failed_check_exits_1_and_names_a_triple(capsys, monkeypatch):
         head, witness = check["detail"].split(" first ")
         assert head == "120 of 120 triples fail,"
         assert witness.startswith("(") and len(witness.split(", ")) == 3
+
+
+def test_failed_center_check_exits_1_and_counts_the_failing_entries(capsys, monkeypatch):
+    code, out = run(capsys, "center", "1", "1", "2", "--format", "json")
+    assert code == 0
+    checked = json.loads(out)["checked"]
+    monkeypatch.setattr(brackets, "center_element", lambda d, n: NecklaceElement.of("xx*"))
+    failing = len(brackets.center_check(1, 1, 2).failures())
+    code, out = run(capsys, "center", "1", "1", "2", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False and data["violations"] == failing > 0
+    assert data["checked"] == checked
+
+
+def test_failed_grading_exits_1_and_names_the_pair(capsys, monkeypatch):
+    # a bracket of degree deg w1 + deg w2, off the expected shift
+    calls = []
+
+    def concatenating(rule, a, b):
+        calls.append((a, b))
+        return NecklaceElement.of(Necklace.of(Word(a + b)))
+
+    monkeypatch.setattr(brackets, "necklace_bracket", concatenating)
+    code, out = run(capsys, "verify", "grading", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c["ok"] for c in checks] == [False, False]
+    a, b = calls[0]
+    head, witness = checks[0]["detail"].split(" first ")
+    assert head == "150 of 150 pairs fail,"
+    got, want = Necklace.of(Word(a + b)), a.degree + b.degree - 2
+    assert witness == f"{{{a!r}, {b!r}}}: {got!r} has degree {got.degree}, expected {want}"
 
 
 @pytest.mark.parametrize("nmax", ["0", "-1"])

@@ -85,7 +85,7 @@ def test_project_examples():
 def test_necklace_canonical_constructor():
     with pytest.raises(ValueError):
         Necklace(word("x*x"))
-    assert Necklace.of("x*x").representative == word("xx*")
+    assert Necklace.of("x*x") == word("xx*")
 
 
 def test_tensor_flip_involution():
@@ -126,6 +126,7 @@ def test_parse_and_format_roundtrip():
     assert e == FreeElement({word("xx*xx*"): 2, word("xxx*x*"): -2})
     assert parse_element("1/2*x*x*") == FreeElement.of(word("x*x*"), Fraction(1, 2))
     assert parse_element("3") == FreeElement.unit(3)
+    assert parse_element("1") == FreeElement.unit(1) and parse_element("-3") == FreeElement.unit(-3)
     assert parse_element("3*1") == FreeElement.unit(3)
     assert parse_element("-x1*") == FreeElement.of(word("x1*"), -1)
     assert parse_element("0") == FreeElement()
@@ -135,6 +136,14 @@ def test_parse_and_format_roundtrip():
             {random_word(rng, d=2): Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(4)}
         )
         assert parse_element(format_element(e)) == e
+
+
+@pytest.mark.parametrize("text", ["x +", "-", "2*", "x - 3*", "x + -"])
+def test_empty_term_is_an_error(text):
+    # an empty term is not the unit, which is "1" or a lone coefficient
+    with pytest.raises(ValueError) as e:
+        parse_element(text)
+    assert str(e.value) == f"empty term in {text!r}"
 
 
 def test_format_examples():

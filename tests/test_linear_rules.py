@@ -141,7 +141,7 @@ def test_linear_rule_grading_minus_one():
         for _ in range(40)
     ]
     report = check_grading(rule, pairs)
-    assert report.ok and report.degree_shift == -1
+    assert report.ok and len(report.entries) == 40 and rule.degree_shift == -1
 
 
 def test_homogeneous_parts_are_degree1_modules():
@@ -163,6 +163,18 @@ def test_json_roundtrip():
         '{"dim": 1, "a": [[1, 1, 1, "1/1"]]}'
     )
     assert loaded.coefficient(1, 1, 1) == 1
+
+
+def test_json_float_values_are_their_decimals():
+    # 0.1 is 1/10, not the binary double nearest to it
+    loaded = StructureConstants.from_json('{"dim": 1, "a": [[1, 1, 1, 0.1]]}')
+    assert loaded.coefficient(1, 1, 1) == Fraction(1, 10)
+    assert StructureConstants.from_json('{"dim": 1, "a": [[1, 1, 1, 2.5e-1]]}').a == {
+        (1, 1, 1): Fraction(1, 4)
+    }
+    for text in ('{"dim": 1.0, "a": []}', '{"dim": 1, "a": [[1.0, 1, 1, 1]]}'):
+        with pytest.raises(ValueError, match="integer"):
+            StructureConstants.from_json(text)
 
 
 def _dense_first_witness(dim, table):

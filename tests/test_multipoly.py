@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
-from necklaces.sampling import rng
 
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
@@ -128,16 +127,3 @@ def test_equality_with_scalars():
     assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
     assert Polynomial.zero() == 0
     assert X != 3 and X + 3 != 3
-
-
-def test_parse_repr_roundtrip_seeded():
-    r = rng(11)
-    names = ["tr(x)", "tr(x*)", "tr((x*)^2)", "H", "x"]
-    for _ in range(60):
-        p = Polynomial.zero()
-        for _ in range(r.randrange(0, 5)):
-            term = Polynomial.constant(Fraction(r.randrange(-6, 7), r.randrange(1, 4)))
-            for _ in range(r.randrange(0, 3)):
-                term = term * Polynomial.variable(r.choice(names), r.randrange(1, 4))
-            p = p + term
-        assert Polynomial.parse(repr(p), names) == p

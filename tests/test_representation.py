@@ -90,7 +90,7 @@ def test_necklace_is_the_word_of_its_least_rotation():
                 assert n != rotation
                 with pytest.raises(ValueError):
                     Necklace(rotation)
-        assert Necklace.of(n) is n and n.representative is n
+        assert Necklace.of(n) is n
         assert Necklace(least) == n and n.degree == len(w)
 
 
@@ -135,7 +135,7 @@ def test_free_and_necklace_elements_iterate_in_word_order():
         assert [w for w, _ in e] == sorted(e.terms, key=word_key)
         n = NecklaceElement({Necklace.of(w): c for w, c in e.terms.items()})
         got = [k for k, _ in n]
-        assert got == sorted(n.terms, key=lambda k: word_key(k.representative))
+        assert got == sorted(n.terms, key=word_key)
 
 
 def test_tensor_and_trace_elements_iterate_in_word_order():
@@ -157,7 +157,7 @@ def test_tensor_and_trace_elements_iterate_in_word_order():
         got = [k for k, _ in trace]
         want = sorted(
             trace.terms,
-            key=lambda k: (tuple(word_key(n.representative) for n in k[0]), word_key(k[1])),
+            key=lambda k: (tuple(word_key(n) for n in k[0]), word_key(k[1])),
         )
         assert got == want
 

@@ -126,10 +126,11 @@ def test_weight_basis_covers_component():
 
 
 def test_table1_rows():
-    rows = table1(8, validate=True)
+    rows = table1(8)
     assert len(rows) == 8
     for row in rows:
         assert row == WeightDecomposition(row.degree, EXPECTED_TABLE[row.degree])
+        assert row == decompose_bruteforce(row.degree)
 
 
 def test_decompose_bounds():
