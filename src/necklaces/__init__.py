@@ -9,7 +9,6 @@ on generic matrices transports the bracket to trace rings.
 
 from .brackets import (
     BracketRule,
-    TraceElement,
     center_check,
     center_element,
     check_grading,
@@ -17,7 +16,6 @@ from .brackets import (
     kontsevich_bracket,
     loday_bracket,
     necklace_bracket,
-    trace_algebra_derivation,
     verify_double_jacobi,
     verify_loday_properties,
 )

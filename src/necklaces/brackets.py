@@ -26,7 +26,6 @@ from .elements import (
     TensorElement,
     TripleTensor,
     _as_necklace_element,
-    _Combination,
     format_element,
     parse_element,
     project_to_necklace,
@@ -76,10 +75,6 @@ class BracketRule:
             table[(xi, xis)] = TensorElement.unit(1)
             table[(xis, xi)] = TensorElement.unit(-1)
         return cls(gens, table, degree_shift=-2)
-
-    @classmethod
-    def custom(cls, generators, table) -> "BracketRule":
-        return cls(generators, table)
 
     def pair(self, a: Letter, b: Letter) -> TensorElement | None:
         return self.table.get((a, b))
@@ -288,46 +283,3 @@ def check_grading(rule: BracketRule, pairs) -> CheckReport:
         report.add(f"{{{n1!r}, {n2!r}}}", wrong is None, detail)
     return report
 
-
-class TraceElement(_Combination):
-    """An element of S(necklaces) (x) A: finite map (necklace monomial, Word)
-    -> coefficient, the necklace monomial being a sorted tuple of Necklaces."""
-
-    @classmethod
-    def of(cls, necklaces, w, c=1) -> "TraceElement":
-        mono = tuple(sorted((Necklace.of(n) for n in necklaces)))
-        if isinstance(w, str):
-            from .words import parse_word
-
-            w = parse_word(w)
-        return cls({(mono, w): c})
-
-    def __repr__(self):
-        chunks = []
-        for (mono, w), c in self:
-            factors = "".join(f"{n!r}" for n in mono) or "1"
-            chunks.append(f"{c}*{factors}(x){w!r}")
-        return " + ".join(chunks) if chunks else "0"
-
-
-def trace_algebra_derivation(rule: BracketRule, w, t: TraceElement) -> TraceElement:
-    """Apply {w, -} to a trace-algebra element by the Leibniz rule.
-
-    Necklace factors receive the necklace bracket, the word factor receives
-    the Loday bracket.  Restricted to pure necklace monomials this is the
-    Lie-Poisson bracket of the symmetric algebra on necklaces.
-    """
-    w = _as_necklace_element(w)
-    out: dict = {}
-    for (mono, u), c in t.terms.items():
-        for j, nj in enumerate(mono):
-            bracket = necklace_bracket(rule, w, NecklaceElement.of(nj))
-            rest = mono[:j] + mono[j + 1:]
-            for neck, c2 in bracket.terms.items():
-                key = (tuple(sorted(rest + (neck,))), u)
-                out[key] = out.get(key, 0) + c * c2
-        for nw, cw in w.terms.items():
-            word_part = loday_bracket(rule, FreeElement.of(nw), FreeElement.of(u))
-            for uw, c2 in word_part.terms.items():
-                out[(mono, uw)] = out.get((mono, uw), 0) + c * cw * c2
-    return TraceElement(out)

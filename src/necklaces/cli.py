@@ -127,6 +127,8 @@ def cmd_dims(args):
 
 def cmd_bracket(args):
     canonical = args.rule == "canonical"
+    if args.d is not None and not canonical:
+        raise ValueError("--d applies only to the canonical rule")
     if args.rule.startswith("ngl:"):
         rule = ngl(int(args.rule.split(":", 1)[1]))
     elif not canonical:

@@ -9,7 +9,6 @@ allocates nothing per necklace.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .elements import Necklace
@@ -46,12 +45,8 @@ def mobius(n: int) -> int:
     return result
 
 
-def binomial(n: int, k) -> int:
-    """C(n, k), defined as 0 for k < 0, k > n, or non-integral k."""
-    if isinstance(k, Fraction):
-        if k.denominator != 1:
-            return 0
-        k = int(k)
+def binomial(n: int, k: int) -> int:
+    """C(n, k), defined as 0 for k < 0 or k > n."""
     if k < 0 or k > n:
         return 0
     out = 1
@@ -71,35 +66,27 @@ def necklace_dimension(d: int, k: int) -> int:
     return total // k
 
 
-def lyndon_count(length: int, marked) -> int:
+def lyndon_count(length: int, marked: int) -> int:
     """Aperiodic binary necklaces of given length with `marked` marked beads.
 
-    (1/l) sum_{k | gcd(l, j)} mu(k) C(l/k, j/k); gcd(l, 0) = l.
+    (1/l) sum_{k | gcd(l, j)} mu(k) C(l/k, j/k) with j = marked; gcd(l, 0) = l.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    j = Fraction(marked)
-    if j.denominator != 1:
-        return 0
-    j = int(j)
-    if j < 0 or j > length:
+    if marked < 0 or marked > length:
         return 0
     total = 0
-    for k in divisors(gcd(length, j) if j else length):
-        total += mobius(k) * binomial(length // k, Fraction(j, k))
+    for k in divisors(gcd(length, marked)):
+        total += mobius(k) * binomial(length // k, marked // k)
     assert total % length == 0
     return total // length
 
 
-def binary_necklace_count(n: int, m) -> int:
+def binary_necklace_count(n: int, m: int) -> int:
     """Binary necklaces of length n with m marked beads, via aperiodic ones;
     the empty necklace counts once, as in necklace_dimension."""
     if n == 0:
         return int(m == 0)
-    m = Fraction(m)
-    if m.denominator != 1:
-        return 0
-    m = int(m)
     total = 0
     for ell in divisors(n):
         if (ell * m) % n == 0:

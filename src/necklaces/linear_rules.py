@@ -101,16 +101,12 @@ class StructureConstants:
             if any(type(x) is not int for x in (i, j, k)):
                 raise ValueError(f'the indices of entry {entry!r} of "a" must be integers')
             try:
+                if isinstance(v, bool):  # Fraction(True) would read as 1
+                    raise TypeError
                 table[(i, j, k)] = parse_rational(v)
             except (TypeError, OverflowError):
                 raise ValueError(f'the value of entry {entry!r} of "a" is not a number') from None
         return cls(dim, table)
-
-    def to_json(self) -> str:
-        entries = [
-            [i, j, k, str(v)] for (i, j, k), v in sorted(self.a.items())
-        ]
-        return json.dumps({"dim": self.dim, "a": entries}, sort_keys=True)
 
 
 def linear_rule(sc: StructureConstants, names=None) -> BracketRule:

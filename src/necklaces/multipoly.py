@@ -138,10 +138,8 @@ class Polynomial(_Combination):
         for m, c in self.terms.items():
             term = Polynomial.constant(c)
             for name, e in m:
-                val = mapping.get(name)
-                if val is None:
-                    val = Polynomial.variable(name)
-                elif not isinstance(val, Polynomial):
+                val = mapping[name] if name in mapping else Polynomial.variable(name)
+                if not isinstance(val, Polynomial):
                     val = Polynomial.constant(val)
                 term = term * val**e
             for mono, v in term.terms.items():

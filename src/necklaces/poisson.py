@@ -108,13 +108,16 @@ def trace_generator_algebra() -> PoissonPolyAlgebra:
 SEMIDIRECT_GENERATORS = ("X", "Y", "E", "F", "H")
 
 
+def semidirect_coordinates() -> dict[str, Polynomial]:
+    """X = tr(x*), Y = -tr(x), E = tr((x*)^2)/2, F = -tr(x^2)/2, H = tr(xx*):
+    the coordinates of sl2 ⋉ h as polynomials in TRACE_GENERATORS."""
+    t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in TRACE_GENERATORS)
+    return {"X": t2, "Y": -t1, "E": t4 / 2, "F": -t3 / 2, "H": t5}
+
+
 def sl2_heisenberg_algebra() -> PoissonPolyAlgebra:
-    """The trace-generator structure in the coordinates
-
-        X = tr(x*), Y = -tr(x), E = tr((x*)^2)/2, F = -tr(x^2)/2, H = tr(xx*)
-
-    with the central element {X, Y} already evaluated to 2.
-    """
+    """The trace-generator structure in semidirect_coordinates(), with the
+    central element {X, Y} already evaluated to 2."""
     x, y, e, f, h = (Polynomial.variable(g) for g in SEMIDIRECT_GENERATORS)
     z = Polynomial.zero()
     table = [

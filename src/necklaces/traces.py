@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from . import linalg, poisson
 from .brackets import BracketRule, center_element, necklace_bracket
 from .elements import UNIT_NECKLACE, Necklace, NecklaceElement, _as_necklace_element
 from .multipoly import Polynomial, PolyMatrix
@@ -234,20 +234,7 @@ def verify_cayley_hamilton() -> CheckReport:
 
 def casimir_polynomial() -> Polynomial:
     """The Casimir H'^2 + 4E'F' written in the five trace generators."""
-    t1 = Polynomial.variable("tr(x)")
-    t2 = Polynomial.variable("tr(x*)")
-    t3 = Polynomial.variable("tr(x^2)")
-    t4 = Polynomial.variable("tr((x*)^2)")
-    t5 = Polynomial.variable("tr(xx*)")
-    h = t5
-    e = t4 / 2
-    f = -t3 / 2
-    xx = t2
-    yy = -t1
-    hp = h + xx * yy / 2
-    ep = e - xx * xx / 4
-    fp = f + yy * yy / 4
-    return hp * hp + 4 * ep * fp
+    return poisson.casimir().substitute(poisson.semidirect_coordinates())
 
 
 def stated_casimir_expression() -> Polynomial:
@@ -359,8 +346,8 @@ TAU3 = "[(1,2)]"
 class LeafClass:
     """Symplectic-leaf and representation-type classification of a point.
 
-    `leaf` is "S_lambda", "S_0'" or "S_0''"; `casimir` is an exact Fraction,
-    or a float or complex for inexact input; `primed` is (E', F', H').
+    `leaf` is "S_lambda", "S_0'" or "S_0''"; `casimir` is the exact value
+    of H'^2 + 4E'F' at the point; `primed` is (E', F', H').
     """
 
     __slots__ = ("leaf", "luna_type", "casimir", "primed")
@@ -374,25 +361,19 @@ class LeafClass:
         return f"{self.leaf}, Luna type {self.luna_type}"
 
 
-def classify_point(coords, tol=None) -> LeafClass:
-    """Classify (X, Y, E, F, H).
-
-    Exact rational coordinates are classified exactly; float or complex
-    coordinates use `tol` (default 1e-9) for the vanishing tests.
-    """
+def classify_point(coords) -> LeafClass:
+    """Classify (X, Y, E, F, H) with exact rational coordinates, by
+    evaluating the primed generators and the Casimir at the point; a float
+    or complex coordinate raises TypeError."""
     if len(coords) != 5:
         raise ValueError("expected coordinates (X, Y, E, F, H)")
-    exact = all(isinstance(v, (int, Fraction)) for v in coords)
-    xx, yy, e, f, h = (Fraction(v) if exact else v for v in coords)
-    ep = e - xx * xx / 4
-    fp = f + yy * yy / 4
-    hp = h + xx * yy / 2
-    casimir = hp * hp + 4 * ep * fp
-    threshold = 0 if exact else (1e-9 if tol is None else tol)
-    is_zero = lambda v: abs(v) <= threshold
-
-    if is_zero(ep) and is_zero(fp) and is_zero(hp):
-        return LeafClass("S_0''", TAU3, casimir, (ep, fp, hp))
-    if is_zero(casimir):
-        return LeafClass("S_0'", TAU2, casimir, (ep, fp, hp))
-    return LeafClass("S_lambda", TAU1, casimir, (ep, fp, hp))
+    point = dict(zip(poisson.SEMIDIRECT_GENERATORS, coords))
+    primed = poisson.primed_generators()
+    value = lambda p: p.substitute(point).constant_term()
+    ep, fp, hp = (value(primed[g]) for g in ("E'", "F'", "H'"))
+    c = value(poisson.casimir())
+    if not (ep or fp or hp):
+        return LeafClass("S_0''", TAU3, c, (ep, fp, hp))
+    if not c:
+        return LeafClass("S_0'", TAU2, c, (ep, fp, hp))
+    return LeafClass("S_lambda", TAU1, c, (ep, fp, hp))

@@ -5,7 +5,6 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
-    TraceElement,
     center_check,
     center_element,
     check_grading,
@@ -13,7 +12,6 @@ from necklaces.brackets import (
     kontsevich_bracket,
     loday_bracket,
     necklace_bracket,
-    trace_algebra_derivation,
     verify_double_jacobi,
     verify_loday_properties,
 )
@@ -56,9 +54,9 @@ def test_rule_generator_values():
 def test_rule_rejects_broken_antisymmetry():
     a, b = word("x")[0], word("x*")[0]
     with pytest.raises(ValueError):
-        BracketRule.custom(letters(1), {(a, b): TensorElement.unit(1)})
+        BracketRule(letters(1), {(a, b): TensorElement.unit(1)})
     with pytest.raises(ValueError):
-        BracketRule.custom(
+        BracketRule(
             letters(1),
             {(a, b): TensorElement.unit(1), (b, a): TensorElement.unit(1)},
         )
@@ -278,54 +276,6 @@ def test_center_check_reports_violations_for_noncentral(monkeypatch):
     assert parse_element(first.detail) == FreeElement.of(word("x"), -1)
 
 
-def test_trace_algebra_derivation_word_part():
-    H = NecklaceElement.of("xx*")
-    t = TraceElement.of([], word("x"))
-    got = trace_algebra_derivation(CANON1, H, t)
-    assert got == TraceElement.of([], word("x"), -1)
-
-
-def test_trace_algebra_derivation_leibniz():
-    H = NecklaceElement.of("xx*")
-    t = TraceElement.of(["x", "x*"], EMPTY_WORD)
-    # {H, x} = -x and {H, x*} = +x*: the two Leibniz terms cancel exactly
-    assert trace_algebra_derivation(CANON1, H, t).is_zero
-    t2 = TraceElement.of(["x", "x"], EMPTY_WORD)
-    assert trace_algebra_derivation(CANON1, H, t2) == TraceElement.of(
-        ["x", "x"], EMPTY_WORD, -2
-    )
-
-
-def test_trace_algebra_derivation_matches_lie_poisson():
-    # on pure necklace monomials the derivation is the Lie-Poisson bracket
-    r = rng(18)
-    necks = [n for k in range(1, 4) for n in enumerate_necklaces(1, k)]
-    for _ in range(20):
-        w = NecklaceElement.of(r.choice(necks))
-        n1, n2 = r.choice(necks), r.choice(necks)
-        got = trace_algebra_derivation(CANON1, w, TraceElement.of([n1, n2], EMPTY_WORD))
-        expected = TraceElement()
-        for neck, c in necklace_bracket(CANON1, w, NecklaceElement.of(n1)).terms.items():
-            expected = expected + TraceElement.of([neck, n2], EMPTY_WORD, c)
-        for neck, c in necklace_bracket(CANON1, w, NecklaceElement.of(n2)).terms.items():
-            expected = expected + TraceElement.of([n1, neck], EMPTY_WORD, c)
-        assert got == expected
-
-
-def test_trace_algebra_derivation_central_annihilates():
-    c2 = center_element(1, 2)
-    for necks, u in [((Necklace.of("x"),), word("x*")), ((Necklace.of("xx*"),), word("xx"))]:
-        t = TraceElement.of(necks, u)
-        got = trace_algebra_derivation(CANON1, c2, t)
-        # centrality kills the necklace-factor terms, so only terms with the
-        # original monomial survive, and their word part is a commutator sum
-        collapsed = NecklaceElement()
-        for (mono, w), c in got.terms.items():
-            assert mono == necks
-            collapsed = collapsed + c * project_to_necklace(FreeElement.of(w))
-        assert collapsed.is_zero
-
-
 def _sampled_necklace_element(r, alphabet, terms=4, max_len=4) -> NecklaceElement:
     out = {}
     for _ in range(r.randrange(1, terms + 1)):
@@ -392,7 +342,7 @@ def _two_partner_rule() -> BracketRule:
     t22 = TensorElement(
         {(x2s, EMPTY_WORD): 1, (EMPTY_WORD, x2s): -1, (x1, x2): 5, (x2, x1): -5}
     )
-    return BracketRule.custom(
+    return BracketRule(
         letters(2),
         {
             (x1[0], x1s[0]): t11,

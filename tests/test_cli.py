@@ -173,6 +173,7 @@ BAD_RULE_FILES = {
     "short_entry.json": '{"dim": 1, "a": [[1, 1, 1]]}',
     "fractional_index.json": '{"dim": 1, "a": [[1.5, 1, 1, "1"]]}',
     "infinite_value.json": '{"dim": 1, "a": [[1, 1, 1, Infinity]]}',
+    "boolean_value.json": '{"dim": 1, "a": [[1, 1, 1, true]]}',
 }
 
 
@@ -197,6 +198,8 @@ BAD_RULE_FILES = {
         ["bracket", "x", "x*", "--rule", "{tmp}/short_entry.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/fractional_index.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/infinite_value.json"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/boolean_value.json"],
+        ["bracket", "e12", "e21", "--rule", "ngl:2", "--d", "5"],
         ["classify", "1", "2", "3", "4", "1/0"],
         ["center", "1", "2", "3", "--witness-lambda=1/0"],
         ["center", "2", "2", "3", "--witness-lambda=abc"],

@@ -47,10 +47,6 @@ def test_binomial_conventions():
     assert binomial(4, 2) == 6
     assert binomial(4, -1) == 0
     assert binomial(4, 5) == 0
-    from fractions import Fraction
-
-    assert binomial(4, Fraction(3, 2)) == 0
-    assert binomial(4, Fraction(2, 1)) == 6
 
 
 def test_necklace_dimension_examples():

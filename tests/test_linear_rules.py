@@ -156,8 +156,13 @@ def test_homogeneous_parts_are_degree1_modules():
 
 
 def test_json_roundtrip():
+    # gl(2) on e11, e12, e21, e22: e_ij e_jl = e_il
+    text = (
+        '{"dim": 4, "a": [[1, 1, 1, "1"], [1, 2, 2, "1"], [2, 3, 1, "1"], [2, 4, 2, "1"],'
+        ' [3, 1, 3, "1"], [3, 2, 4, "1"], [4, 3, 3, "1"], [4, 4, 4, "1"]]}'
+    )
     sc = gl_constants(2)
-    again = StructureConstants.from_json(sc.to_json())
+    again = StructureConstants.from_json(text)
     assert again.dim == sc.dim and again.a == sc.a
     loaded = StructureConstants.from_json(
         '{"dim": 1, "a": [[1, 1, 1, "1/1"]]}'
@@ -174,6 +179,14 @@ def test_json_float_values_are_their_decimals():
     }
     for text in ('{"dim": 1.0, "a": []}', '{"dim": 1, "a": [[1.0, 1, 1, 1]]}'):
         with pytest.raises(ValueError, match="integer"):
+            StructureConstants.from_json(text)
+
+
+def test_json_boolean_value_is_not_a_number():
+    # Fraction(True) is 1, so a boolean must be refused before it is read
+    for value in ("true", "false"):
+        text = '{"dim": 1, "a": [[1, 1, 1, %s]]}' % value
+        with pytest.raises(ValueError, match='the value of entry .* of "a" is not a number'):
             StructureConstants.from_json(text)
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces.brackets import TraceElement
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import (
     FreeElement,
@@ -138,7 +137,7 @@ def test_free_and_necklace_elements_iterate_in_word_order():
         assert got == sorted(n.terms, key=word_key)
 
 
-def test_tensor_and_trace_elements_iterate_in_word_order():
+def test_tensor_elements_iterate_in_word_order():
     r = rng(5)
     alphabet = letters(2)
     for _ in range(50):
@@ -149,17 +148,6 @@ def test_tensor_and_trace_elements_iterate_in_word_order():
         t = TensorElement(pairs)
         got = [k for k, _ in t]
         assert got == sorted(t.terms, key=lambda k: (word_key(k[0]), word_key(k[1])))
-
-        trace = TraceElement({})
-        for _ in range(8):
-            necks = [Necklace.of(random_word(r, alphabet, 0, 3)) for _ in range(r.randrange(0, 3))]
-            trace = trace + TraceElement.of(necks, random_word(r, alphabet, 0, 3))
-        got = [k for k, _ in trace]
-        want = sorted(
-            trace.terms,
-            key=lambda k: (tuple(word_key(n) for n in k[0]), word_key(k[1])),
-        )
-        assert got == want
 
 
 def test_iteration_order_is_the_word_lt_order():

@@ -235,14 +235,21 @@ def test_classify_point_examples():
 
 
 def test_classify_point_exact_vs_float():
-    exact = classify_point((Fraction(2), Fraction(-1), Fraction(1), Fraction(1, 4), Fraction(1)))
-    approx = classify_point((2.0, -1.0, 1.0, 0.25, 1.0))
-    assert exact.leaf == approx.leaf and exact.luna_type == approx.luna_type
-    # tiny float noise inside the tolerance keeps the degenerate class
-    noisy = classify_point((0.0, 0.0, 1e-12, 0.0, 1e-12))
-    assert noisy.leaf == "S_0''"
-    wide = classify_point((0.0, 0.0, 1e-12, 0.0, 1e-12), tol=1e-15)
-    assert wide.leaf != "S_0''"
+    # the point is classified exactly; the same point in floats, or any
+    # complex or missing coordinate, is refused rather than compared to a
+    # tolerance or read as 0
+    got = classify_point((2, -1, 1, Fraction(1, 4), 1))
+    assert got.leaf == "S_0'" and got.luna_type == "[(1,1);(1,1)]"
+    assert got.casimir == 0 and got.primed == (0, Fraction(1, 2), 0)
+    inexact = [
+        (2.0, -1.0, 1.0, 0.25, 1.0),
+        (0, 0, 1j, 1j, 0),
+        (0j, 0, 1, 1, 0),
+        (None, 0, 1, 1, 0),
+    ]
+    for coords in inexact:
+        with pytest.raises(TypeError, match=r"coefficient must be exact \(int/Fraction\)"):
+            classify_point(coords)
 
 
 def test_classify_consistency_rules():
@@ -250,10 +257,3 @@ def test_classify_consistency_rules():
     got = classify_point((3, 5, Fraction(9, 4), Fraction(-25, 4), Fraction(-15, 2)))
     assert got.leaf == "S_0''"
     assert got.casimir == 0
-
-
-def test_classify_complex_coordinates():
-    got = classify_point((0j, 0j, 1 + 0j, 1 + 0j, 0j))
-    assert got.leaf == "S_lambda" and abs(got.casimir - 4) < 1e-12
-    got = classify_point((0j, 0j, 1j, 1j, 0j))
-    assert got.leaf == "S_lambda" and abs(got.casimir + 4) < 1e-12
