@@ -235,19 +235,31 @@ def test_classify_point_examples():
 
 
 def test_classify_point_exact_vs_float():
-    # the point is classified exactly; the same point in floats, or any
-    # complex or missing coordinate, is refused rather than compared to a
-    # tolerance or read as 0
+    # the point is classified exactly; the same point in floats, or a
+    # missing coordinate, is refused rather than compared to a tolerance
+    # or read as 0
     got = classify_point((2, -1, 1, Fraction(1, 4), 1))
     assert got.leaf == "S_0'" and got.luna_type == "[(1,1);(1,1)]"
     assert got.casimir == 0 and got.primed == (0, Fraction(1, 2), 0)
     inexact = [
         (2.0, -1.0, 1.0, 0.25, 1.0),
-        (0, 0, 1j, 1j, 0),
-        (0j, 0, 1, 1, 0),
         (None, 0, 1, 1, 0),
     ]
     for coords in inexact:
+        with pytest.raises(TypeError, match=r"coefficient must be exact \(int/Fraction\)"):
+            classify_point(coords)
+
+
+def test_classify_complex_coordinates():
+    # complex coordinates are refused, not classified to a tolerance; the
+    # real point behind the first one classifies exactly
+    got = classify_point((0, 0, 1, 1, 0))
+    assert got.leaf == "S_lambda" and got.casimir == 4
+    for coords in [
+        (0j, 0j, 1 + 0j, 1 + 0j, 0j),
+        (0j, 0j, 1j, 1j, 0j),
+        (0j, 0, 1, 1, 0),
+    ]:
         with pytest.raises(TypeError, match=r"coefficient must be exact \(int/Fraction\)"):
             classify_point(coords)
 
