@@ -152,22 +152,27 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     for n in (*e1.terms, *e2.terms):
         rule.check_letters(n)
     # e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
-    # (b_q, u . a_>p . a_<p . v, c1 * c)
-    opened = []
+    # b_q -> [(u . a_>p . a_<p . v, c1 * c), ...]
+    opened: dict = {}
     for a, c1 in e1.terms.items():
         for p, ap in enumerate(a):
             rest = a[p + 1:] + a[:p]
             for partner, terms in rule.partners.get(ap, ()):
+                row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
-                    opened.append((partner, u + rest + v, c1 * c))
+                    row.append((u + rest + v, c1 * c))
+    # the collapsed words as plain tuples, which hash and compare like the
+    # Words with the same letters; only the survivors become Words
     out: dict = {}
     for n, c2 in e2.terms.items():
-        at = _cuts(n)
-        for partner, middle, c in opened:
-            for head, tail in at.get(partner, ()):
-                k = Word(head + middle + tail)
-                out[k] = out.get(k, 0) + c * c2
-    return project_to_necklace(FreeElement(out))
+        for q, bq in enumerate(n):
+            row = opened.get(bq)
+            if row:
+                head, tail = n[:q], n[q + 1:]
+                for middle, c in row:
+                    k = head + middle + tail
+                    out[k] = out.get(k, 0) + c * c2
+    return project_to_necklace(FreeElement({Word(k): c for k, c in out.items() if c}))
 
 
 def _splice_sum(a: Word, b: Word) -> dict:

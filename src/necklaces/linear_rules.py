@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .brackets import BracketRule, necklace_bracket
-from .elements import Necklace, NecklaceElement, TensorElement, parse_rational
+from .elements import Necklace, NecklaceElement, TensorElement, _coeff, parse_rational
 from .report import CheckReport
 from .words import EMPTY_WORD, Letter, Word, unstarred
 
@@ -43,7 +43,7 @@ class StructureConstants:
         for (i, j, k), v in a.items():
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise ValueError(f"index out of range in entry {(i, j, k)}")
-            v = Fraction(v)
+            v = Fraction(_coeff(v))  # a float, bool or Letter raises TypeError
             if v:
                 clean[(i, j, k)] = v
         object.__setattr__(self, "dim", dim)

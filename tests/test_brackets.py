@@ -318,6 +318,22 @@ def test_necklace_bracket_rejects_foreign_letters(rule):
         necklace_bracket(rule, mixed, inside)
 
 
+@pytest.mark.parametrize(
+    "rule", [CANON1, CANON2, ngl(2)], ids=["canonical1", "canonical2", "ngl2"]
+)
+def test_necklace_bracket_keys_are_necklaces(rule):
+    """The kernel sums plain tuples; none may leak into the result."""
+    r = rng(11)
+    nonzero = 0
+    for _ in range(40):
+        e1 = _sampled_necklace_element(r, rule.generators)
+        e2 = _sampled_necklace_element(r, rule.generators)
+        got = necklace_bracket(rule, e1, e2)
+        nonzero += bool(got)
+        assert all(type(k) is Necklace for k in got.terms)
+    assert nonzero
+
+
 def _reference_double_bracket(rule, a, b) -> TensorElement:
     """The closed form as a scan of every letter pair (p, q), each looked up
     with rule.pair; shares nothing with the partner index."""

@@ -190,6 +190,17 @@ def test_json_boolean_value_is_not_a_number():
             StructureConstants.from_json(text)
 
 
+def test_table_values_must_be_exact_scalars():
+    # the same coercion as every combination: a float, bool or Letter raises
+    for value in (0.5, True, Letter(1)):
+        with pytest.raises(TypeError, match="coefficient must be exact"):
+            StructureConstants(1, {(1, 1, 1): value})
+    # values are still stored as Fractions
+    for value in (1, Fraction(2, 2)):
+        stored = StructureConstants(1, {(1, 1, 1): value}).a[(1, 1, 1)]
+        assert type(stored) is Fraction and stored == 1
+
+
 def _dense_first_witness(dim, table):
     """First (i, j, k, s), in loop order, where (x_i x_j) x_k and
     x_i (x_j x_k) differ in the x_s coordinate; None if associative.

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from necklaces.elements import Necklace
 from necklaces.words import (
     EMPTY_WORD,
     Letter,
@@ -86,3 +88,37 @@ def test_rotation_is_a_rotation_of_input():
     for _ in range(100):
         w = Word(rng.choice(alphabet) for _ in range(rng.randrange(1, 10)))
         assert canonical_rotation(w) in w.rotations()
+
+
+def test_canonical_rotation_exhaustive_short_words():
+    # every word over x1, x1*, x2, x2* of length <= 7; a Word comes back
+    alphabet = letters(2)
+    count = 0
+    for n in range(8):
+        for t in itertools.product(alphabet, repeat=n):
+            w = Word(t)
+            c = canonical_rotation(w)
+            assert type(c) is Word and c == brute_minimal_rotation(w)
+            count += 1
+    assert count == 21845
+
+
+def test_canonical_rotation_long_periodic_words():
+    # many occurrences of the least letter, the routine's worst case
+    x, xs = Letter(1), Letter(1, True)
+    for k in range(1, 61):
+        for w in (
+            Word([x] * k + [xs]),
+            Word([x] * k),
+            Word([x, xs] * k),
+            Word([x, x, xs] * k + [xs]),
+        ):
+            assert canonical_rotation(w) == brute_minimal_rotation(w)
+
+
+def test_necklace_of_a_plain_tuple_matches_the_word():
+    for n in range(6):
+        for t in itertools.product(letters(2), repeat=n):
+            neck = Necklace.of(t)
+            assert type(neck) is Necklace
+            assert neck == Necklace.of(Word(t))
