@@ -11,9 +11,11 @@ both axioms directly.  Collapsing with the multiplication map gives the
 Loday bracket; projecting to cyclic words gives the necklace Lie bracket.
 
 Only the pairs the rule stores contribute, so each rule keeps a partner index,
-letter -> its partners with their tensor terms, and the kernels walk the
-letters of the first word and visit only the positions of their partners in
-the second; under the canonical rule that is x_i against x_i* alone.
+letter -> its partners with their tensor terms.  Both kernels, double_bracket
+and necklace_bracket, open every term of their first argument once, at each
+letter, into rows keyed by partner letter, then walk each position of each
+term of the second and take only the row of its letter; under the canonical
+rule that is x_i against x_i* alone.
 """
 
 from __future__ import annotations
@@ -95,37 +97,29 @@ def _as_free(e) -> FreeElement:
     raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
 
 
-def _cuts(w: Word) -> dict:
-    """letter -> (w_<q, w_>q) for each position q where it occurs in w."""
-    at: dict = {}
-    for q, x in enumerate(w):
-        at.setdefault(x, []).append((w[:q], w[q + 1:]))
-    return at
-
-
-def _double_bracket_words(rule: BracketRule, a: Word, b: Word) -> dict:
-    out: dict = {}
-    at = _cuts(b)
-    for p, ap in enumerate(a):
-        for partner, terms in rule.partners.get(ap, ()):
-            for head, tail in at.get(partner, ()):
-                for (u, v), c in terms:
-                    key = (Word(head + u + a[p + 1:]), Word(a[:p] + v + tail))
-                    out[key] = out.get(key, 0) + c
-    return out
-
-
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:
     """The double bracket {{a, b}} in A (x) A, extended bilinearly."""
     a, b = _as_free(a), _as_free(b)
-    out: dict = {}
+    for w in (*a.terms, *b.terms):
+        rule.check_letters(w)
+    # a opened at each letter a_p, once per term u (x) v of each partner b_q:
+    # b_q -> [(u . a_>p, a_<p . v, c_a * c), ...]
+    opened: dict = {}
     for wa, ca in a.terms.items():
-        rule.check_letters(wa)
-        for wb, cb in b.terms.items():
-            rule.check_letters(wb)
-            c = ca * cb
-            for key, v in _double_bracket_words(rule, wa, wb).items():
-                out[key] = out.get(key, 0) + c * v
+        for p, ap in enumerate(wa):
+            for partner, terms in rule.partners.get(ap, ()):
+                row = opened.setdefault(partner, [])
+                for (u, v), c in terms:
+                    row.append((u + wa[p + 1:], wa[:p] + v, ca * c))
+    out: dict = {}
+    for wb, cb in b.terms.items():
+        for q, bq in enumerate(wb):
+            row = opened.get(bq)
+            if row:
+                head, tail = wb[:q], wb[q + 1:]
+                for left, right, c in row:
+                    key = (Word(head + left), Word(right + tail))
+                    out[key] = out.get(key, 0) + c * cb
     return TensorElement(out)
 
 

@@ -9,7 +9,7 @@ allocates nothing per necklace.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
 from .elements import Necklace
 from .words import Letter
@@ -47,12 +47,7 @@ def mobius(n: int) -> int:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), defined as 0 for k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def necklace_dimension(d: int, k: int) -> int:

@@ -284,12 +284,6 @@ class TensorElement(_Combination):
             {(left * u, v * right): c for (u, v), c in self.terms.items()}
         )
 
-    def inner(self, left: Word, right: Word) -> "TensorElement":
-        """Inner action a o (u (x) v) o c = (u c) (x) (a v)."""
-        return TensorElement(
-            {(u * right, left * v): c for (u, v), c in self.terms.items()}
-        )
-
     def collapse(self) -> FreeElement:
         """Multiplication map: u (x) v -> uv."""
         out = {}

@@ -59,19 +59,6 @@ def trace_of(e, mats) -> Polynomial:
     return Polynomial(out)
 
 
-def abelianize(e) -> Polynomial:
-    """The n = 1 trace map: each necklace becomes a commutative monomial in
-    variables named after the letters."""
-    out: dict = {}
-    for neck, c in _as_necklace_element(e).terms.items():
-        mono = Polynomial.constant(c)
-        for a in neck:
-            mono = mono * Polynomial.variable(a.name)
-        for m, v in mono.terms.items():
-            out[m] = out.get(m, 0) + v
-    return Polynomial(out)
-
-
 @lru_cache(maxsize=None)
 def _mats2() -> tuple[PolyMatrix, PolyMatrix]:
     x, xs = generic_matrices(1, 2)

@@ -395,3 +395,35 @@ def test_partner_index_matches_full_scan(rule):
             _reference_double_bracket(rule, n1, n2).collapse()
         )
         assert necklace_bracket(rule, n1, n2) == want
+
+
+def _random_sum(r, alphabet) -> FreeElement:
+    """2 to 4 distinct words with nonzero rational coefficients."""
+    terms = {}
+    size = r.randint(2, 4)
+    while len(terms) < size:
+        terms[random_word(r, alphabet, 0, 5)] = Fraction(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(1, 4))
+    return FreeElement(terms)
+
+
+@pytest.mark.parametrize("rule", [CANON2, ngl(2)], ids=["canonical2", "ngl2"])
+def test_double_bracket_of_sums_is_the_sum_over_term_pairs(rule):
+    """double_bracket opens every term of its first argument at once; it
+    agrees with the per-pair scan summed over the term pairs."""
+    r = rng(29)
+    nonzero = 0
+    for _ in range(40):
+        a, b = _random_sum(r, rule.generators), _random_sum(r, rule.generators)
+        want = TensorElement()
+        for wa, ca in a.terms.items():
+            for wb, cb in b.terms.items():
+                want = want + _reference_double_bracket(rule, wa, wb).scaled(ca * cb)
+        assert double_bracket(rule, a, b) == want
+        nonzero += not want.is_zero
+    assert nonzero > 20
+
+
+def test_double_bracket_checks_letters_when_the_other_side_is_zero():
+    for a, b in ((FreeElement(), "x2"), ("x2", FreeElement())):
+        with pytest.raises(ValueError, match="x2"):
+            double_bracket(CANON1, a, b)

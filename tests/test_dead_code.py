@@ -1,0 +1,102 @@
+"""No dead code in the core: every module under src/necklaces (but the
+re-exporting __init__.py) uses each name it imports, and every module-level
+_private function, class or constant is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import necklaces
+
+SOURCES = sorted(
+    p for p in Path(necklaces.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _imported(tree: ast.Module):
+    """(line, bound name) for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) for each module-level _private def, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _dead_code(paths) -> list[str]:
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    everywhere = set().union(*(_references(t) for t in trees.values()))
+    found = []
+    for path, tree in trees.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for line, name in _imported(tree):
+            if name not in read:
+                found.append(f"{path.name}:{line}: import {name} is never used")
+        for line, name in _private_definitions(tree):
+            if name not in everywhere:
+                found.append(f"{path.name}:{line}: {name} is referenced nowhere")
+    return found
+
+
+def test_no_unused_import_or_unreferenced_private_name():
+    assert len(SOURCES) > 10
+    found = _dead_code(SOURCES)
+    assert not found, "\n".join(found)
+
+
+def test_the_guard_sees_unused_imports_and_dead_privates(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import comb, gcd as g\n"
+        "\n"
+        "def _used():\n"
+        "    return comb(2, 1)\n"
+        "\n"
+        "def _dead():\n"
+        "    _local = 0\n"
+        "    return _local\n"
+        "\n"
+        "_LIMIT, _SEEN = 3, 4\n"
+        "\n"
+        "class _Hidden:\n"
+        "    _inner = 1\n"
+    )
+    b.write_text("from .a import _used\nfrom . import a\n\nVALUE = _used() + a._SEEN\n")
+    assert _dead_code([a, b]) == [
+        "a.py:2: import os is never used",
+        "a.py:3: import g is never used",
+        "a.py:8: _dead is referenced nowhere",
+        "a.py:12: _LIMIT is referenced nowhere",
+        "a.py:14: _Hidden is referenced nowhere",
+    ]

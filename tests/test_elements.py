@@ -103,7 +103,6 @@ def test_tensor_flip_involution():
 def test_tensor_actions_and_collapse():
     t = TensorElement.of(word("x"), word("x*"), 2)
     assert t.outer(word("x*"), word("x")) == TensorElement.of(word("x*x"), word("x*x"), 2)
-    assert t.inner(word("x*"), word("x")) == TensorElement.of(word("xx"), word("x*x*"), 2)
     assert t.collapse() == FreeElement.of(word("xx*"), 2)
 
 

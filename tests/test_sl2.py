@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces import sl2
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import necklace_dimension
 from necklaces.elements import NecklaceElement
@@ -167,3 +168,17 @@ def test_weight_decomposition_ignores_zero_multiplicities():
     assert WeightDecomposition(4, {4: 1, 0: 1, 2: 0}) == WeightDecomposition(4, {0: 1, 4: 1})
     assert WeightDecomposition(4, {4: 1}) != WeightDecomposition(5, {4: 1})
     assert repr(WeightDecomposition(2, {2: 1})) == "WeightDecomposition(2, {2: 1})"
+
+
+def test_decompose_bruteforce_names_a_rank_disagreement(monkeypatch):
+    """The E-action check fires when a rank disagrees with the counting,
+    and names the degree and the weight."""
+    real = sl2._e_action_rank
+
+    def one_short_at_weight_4(rule, E, source, target):
+        r = real(rule, E, source, target)
+        return r - 1 if source and word_weight(source[0]) == 4 else r
+
+    monkeypatch.setattr(sl2, "_e_action_rank", one_short_at_weight_4)
+    with pytest.raises(ArithmeticError, match=r"at degree 8, weight 4$"):
+        decompose_bruteforce(8)

@@ -9,7 +9,6 @@ from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
 from necklaces.sampling import random_word, rng
 from necklaces.traces import (
     GENERATORS,
-    abelianize,
     casimir_image,
     casimir_image_as_displayed,
     casimir_polynomial,
@@ -130,13 +129,14 @@ def test_table2_audited_cell():
 
 def test_abelianization_is_symplectic_poisson_at_n1():
     rule = BracketRule.canonical(1)
-    pairs = [("x1", "x1*")]
+    mats = generic_matrices(1, 1)
+    pairs = [("x1_11", "x1s_11")]
     necks = [n for k in range(7) for n in enumerate_necklaces(1, k)]
     r = rng(31)
     for _ in range(60):
         n1, n2 = r.choice(necks), r.choice(necks)
-        lhs = abelianize(necklace_bracket(rule, NecklaceElement.of(n1), NecklaceElement.of(n2)))
-        rhs = symplectic_poisson(abelianize(n1), abelianize(n2), pairs)
+        lhs = trace_of(necklace_bracket(rule, NecklaceElement.of(n1), NecklaceElement.of(n2)), mats)
+        rhs = symplectic_poisson(trace_of(n1, mats), trace_of(n2, mats), pairs)
         assert lhs == rhs
 
 
