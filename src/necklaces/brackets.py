@@ -27,9 +27,9 @@ from .elements import (
     NecklaceElement,
     TensorElement,
     TripleTensor,
+    _as_free,
     _as_necklace_element,
     format_element,
-    parse_element,
     project_to_necklace,
 )
 from .report import CheckReport
@@ -85,16 +85,6 @@ class BracketRule:
         if not self.genset.issuperset(w):
             a = next(a for a in w if a not in self.genset)
             raise ValueError(f"letter {a.name} is not a generator of this rule")
-
-
-def _as_free(e) -> FreeElement:
-    if isinstance(e, FreeElement):
-        return e
-    if isinstance(e, Word):
-        return FreeElement.of(e)
-    if isinstance(e, str):
-        return parse_element(e)
-    raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
 
 
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:

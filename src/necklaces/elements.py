@@ -251,14 +251,31 @@ def project_to_necklace(e: FreeElement) -> NecklaceElement:
     return NecklaceElement(out)
 
 
+def _as_free(e) -> FreeElement:
+    """A FreeElement, a Word, or text in the element grammar, as a FreeElement."""
+    if isinstance(e, FreeElement):
+        return e
+    if isinstance(e, Word):
+        return FreeElement.of(e)
+    if isinstance(e, str):
+        return parse_element(e)
+    raise TypeError(f"expected a free-algebra element, got {type(e).__name__}")
+
+
 def _as_necklace_element(e) -> NecklaceElement:
+    """A NecklaceElement, a Word or necklace, or anything _as_free reads,
+    projected, as a NecklaceElement."""
     if isinstance(e, NecklaceElement):
         return e
-    if isinstance(e, FreeElement):
-        return project_to_necklace(e)
-    if isinstance(e, (Word, str)):
+    if isinstance(e, Word):
         return NecklaceElement.of(e)
-    raise TypeError(f"expected a necklace element, got {type(e).__name__}")
+    return project_to_necklace(_as_free(e))
+
+
+def _format_tensor(t) -> str:
+    """Render a tensor as "c*w1(x)w2 + ..." in term order; no terms give "0"."""
+    items = [f"{c}*{'(x)'.join(map(format_word, ws))}" for ws, c in t]
+    return " + ".join(items) if items else "0"
 
 
 class TensorElement(_Combination):
@@ -292,12 +309,7 @@ class TensorElement(_Combination):
             out[k] = out.get(k, 0) + c
         return FreeElement(out)
 
-    def __repr__(self):
-        items = [
-            f"{c}*{format_word(u)}(x){format_word(v)}"
-            for (u, v), c in self
-        ]
-        return " + ".join(items) if items else "0"
+    __repr__ = _format_tensor
 
 
 class TripleTensor(_Combination):
@@ -313,17 +325,14 @@ class TripleTensor(_Combination):
         """sigma^{-1}: a (x) b (x) c -> b (x) c (x) a."""
         return TripleTensor({(b, c, a): v for (a, b, c), v in self.terms.items()})
 
-    def __repr__(self):
-        items = [
-            f"{v}*{format_word(a)}(x){format_word(b)}(x){format_word(c)}"
-            for (a, b, c), v in self
-        ]
-        return " + ".join(items) if items else "0"
+    __repr__ = _format_tensor
 
 
 # --- element grammar -------------------------------------------------------
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+# a term: signs and blanks, then a body with no signs that may open with a
+# coefficient "p" or "p/q" and an optional "*"; (?!\Z) stops at the end
+_TERM = re.compile(r"(?!\Z)([\s+-]*)(?:(\d+(?:/\d+)?)\s*(\*?))?([^+-]*)")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -338,39 +347,15 @@ def parse_rational(text: str) -> Fraction:
 def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeElement:
     """Parse "c1*w1 + c2*w2" with exact rational coefficients "p/q"."""
     text = text.strip()
-    if not text or text == "0":
-        return FreeElement()
-    # split into signed terms at top level
-    terms: list[str] = []
-    buf = ""
-    for ch in text:
-        if ch in "+-" and buf.strip() and not buf.rstrip().endswith(("+", "-")):
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
     out: dict = {}
-    for term in terms:
-        term = term.strip()
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].strip()
-        if not term:
+    for m in _TERM.finditer(text):
+        signs, p, star, body = m.groups()
+        body = body.strip()
+        coeff = parse_rational(p) if p else 1
+        if not body and (star or not p):
             raise ValueError(f"empty term in {text!r}")
-        m = _RATIONAL.match(term)
-        coeff = 1
-        if m and (m.end() == len(term) or not term[m.start()].isalpha()):
-            coeff = parse_rational(m.group(0))
-            term = term[m.end():].strip()
-            if term.startswith("*"):
-                term = term[1:].strip()
-                if not term:
-                    raise ValueError(f"empty term in {text!r}")
-        w = parse_word(term, alphabet) if term else EMPTY_WORD
-        out[w] = out.get(w, 0) + sign * coeff
+        w = parse_word(body, alphabet) if body else EMPTY_WORD
+        out[w] = out.get(w, 0) + (-coeff if signs.count("-") % 2 else coeff)
     return FreeElement(out)
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import linalg, poisson
 from .brackets import BracketRule, center_element, necklace_bracket
-from .elements import UNIT_NECKLACE, Necklace, NecklaceElement, _as_necklace_element
+from .elements import UNIT_NECKLACE, Necklace, NecklaceElement, _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
@@ -308,7 +308,7 @@ def casimir_image_as_displayed() -> CheckReport:
 
 def witness_matrices(lam) -> tuple[PolyMatrix, PolyMatrix]:
     """The 3 x 3 pair whose commutator is diag(lam, -2 lam, lam)."""
-    lam = Fraction(lam)
+    lam = _coeff(lam)  # a float or bool raises TypeError
     x = PolyMatrix([[0, lam, 0], [0, 0, -lam], [0, 0, 0]])
     xs = PolyMatrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     return x, xs

@@ -153,46 +153,41 @@ def canonical_rotation(w: Word) -> Word:
 # --- textual grammar -------------------------------------------------------
 #
 # Letters print as "x1", "x1*"; words as plain concatenation ("x1x1*"), with
-# "·" accepted as an optional separator.  "x" and "x*" are aliases for the
-# d = 1 letters on input.  "1" is the empty word.
+# "·" and blanks accepted as optional separators.  "x" and "x*" are aliases
+# for the d = 1 letters on input.  "1" is the empty word.  A custom alphabet
+# replaces the letter token by its names, longest first, with the same
+# separators.
 
-_TOKEN = re.compile(r"x(\d*)(\*?)|1|·|\s+")
+_SEPARATORS = r"|1|·|\s+"
+_TOKEN = re.compile(r"x(\d*)(\*?)" + _SEPARATORS)
+
+
+def _tokenizer(alphabet: dict[str, Letter] | None) -> re.Pattern:
+    if alphabet is None:
+        return _TOKEN
+    if not alphabet or "" in alphabet:
+        raise ValueError("an alphabet needs at least one name, and no empty name")
+    names = sorted(alphabet, key=len, reverse=True)
+    return re.compile(f"({'|'.join(map(re.escape, names))})" + _SEPARATORS)
 
 
 def parse_word(text: str, alphabet: dict[str, Letter] | None = None) -> Word:
     """Parse a single word.  `alphabet` maps custom letter names, e.g. e12."""
+    token = _tokenizer(alphabet)
     text = text.strip()
-    if alphabet is not None:
-        names = sorted(alphabet, key=len, reverse=True)
-        out, pos = [], 0
-        while pos < len(text):
-            if text[pos] in "· \t":
-                pos += 1
-                continue
-            if text[pos] == "1" and not any(
-                text.startswith(n, pos) for n in names
-            ):
-                pos += 1
-                continue
-            for n in names:
-                if text.startswith(n, pos):
-                    out.append(alphabet[n])
-                    pos += len(n)
-                    break
-            else:
-                raise ValueError(f"unknown letter at {text[pos:]!r}")
-        return Word(out)
     out = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if m is None:
             raise ValueError(f"cannot parse word at {text[pos:]!r}")
-        tok = m.group(0)
-        if tok[0] == "x":
-            index = int(m.group(1)) if m.group(1) else 1
-            out.append(Letter(index, m.group(2) == "*"))
-        # "1", "·" and whitespace contribute no letters
+        name = m.group(1)
+        # "1", "·" and whitespace leave the letter group unmatched
+        if name is not None:
+            if alphabet is None:
+                out.append(Letter(int(name) if name else 1, m.group(2) == "*"))
+            else:
+                out.append(alphabet[name])
         pos = m.end()
     return Word(out)
 

@@ -53,6 +53,11 @@ def test_bracket_ngl_rule(capsys):
     assert "e11 - e22" in out
 
 
+def test_bracket_names_an_unknown_bead(capsys):
+    assert main(["bracket", "e13", "e21", "--rule", "ngl:2"]) == 2
+    assert capsys.readouterr().err == "necklaces bracket: error: cannot parse word at 'e13'\n"
+
+
 def test_bracket_rule_from_json_file(tmp_path, capsys):
     table = {"dim": 1, "a": [[1, 1, 1, "1"]]}
     path = tmp_path / "sc.json"

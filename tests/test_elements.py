@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces.brackets import BracketRule, loday_bracket, necklace_bracket
 from necklaces.elements import (
     FreeElement,
     Necklace,
@@ -13,7 +14,8 @@ from necklaces.elements import (
     parse_element,
     project_to_necklace,
 )
-from necklaces.words import Word, letters, word
+from necklaces.traces import generic_matrices, trace_of
+from necklaces.words import Letter, Word, letters, word
 
 
 def random_word(rng, d=1, max_len=6):
@@ -143,6 +145,70 @@ def test_empty_term_is_an_error(text):
     with pytest.raises(ValueError) as e:
         parse_element(text)
     assert str(e.value) == f"empty term in {text!r}"
+
+
+CUSTOM = {"e1": Letter(1), "e11": Letter(2), "e12": Letter(3), "e21": Letter(4)}
+X, XS, ONE = word("x"), word("x*"), Word()
+E1, E11, E12, E21 = (Word([a]) for a in CUSTOM.values())
+
+
+@pytest.mark.parametrize(
+    "text, alphabet, expected",
+    [
+        ("x - -x*", None, {X: 1, XS: 1}),
+        ("x - - -x*", None, {X: 1, XS: -1}),
+        ("-x+-x", None, {X: -2}),
+        ("2 * x", None, {X: 2}),
+        ("2x", None, {X: 2}),
+        ("1x", None, {X: 1}),
+        ("3*1", None, {ONE: 3}),
+        ("1/2 * 1", None, {ONE: Fraction(1, 2)}),
+        ("x·x* - 1x·1·x*", None, {}),
+        ("x\t+\tx*", None, {X: 1, XS: 1}),
+        ("0", None, {}),
+        ("", None, {}),
+        ("   ", None, {}),
+        ("0*x + 0", None, {}),
+        ("e1 - -e11", CUSTOM, {E1: 1, E11: 1}),
+        ("2 * e12", CUSTOM, {E12: 2}),
+        ("1e11", CUSTOM, {E11: 1}),
+        ("3*1", CUSTOM, {ONE: 3}),
+        ("e12·e21 - e12 e21", CUSTOM, {}),
+        ("e12\te21 + e121e21", CUSTOM, {E12 * E21: 2}),
+        ("0", CUSTOM, {}),
+        ("", CUSTOM, {}),
+        ("x", CUSTOM, ValueError),
+        ("y", None, ValueError),
+        ("2**x", None, ValueError),
+        ("1/x", None, ValueError),
+    ],
+)
+def test_element_grammar_table(text, alphabet, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            parse_element(text, alphabet)
+    else:
+        assert parse_element(text, alphabet) == FreeElement(expected)
+
+
+def test_string_arguments_read_the_element_grammar():
+    rule = BracketRule.canonical(1)
+    assert necklace_bracket(rule, "2*x + x*", "x") == project_to_necklace(
+        loday_bracket(rule, "2*x + x*", "x")
+    )
+    assert necklace_bracket(rule, "2*x + x*", "x") == NecklaceElement.unit(-1)
+    mats = generic_matrices(1, 2)
+    assert trace_of("2*x - x*x", mats) == 2 * trace_of("x", mats) - trace_of("x*x", mats)
+
+
+def test_tensor_reprs():
+    x, xs = word("x"), word("x*")
+    t = TensorElement({(x, xs): -1, (word("1"), x): Fraction(1, 2)})
+    assert repr(t) == "1/2*1(x)x1 + -1*x1(x)x1*"
+    assert repr(TensorElement()) == "0"
+    tt = TripleTensor({(x, word("1"), xs): -2, (word("1"), word("1"), word("1")): Fraction(3, 4)})
+    assert repr(tt) == "3/4*1(x)1(x)1 + -2*x1(x)1(x)x1*"
+    assert repr(TripleTensor()) == "0"
 
 
 def test_format_examples():

@@ -216,6 +216,14 @@ def test_center_witness_values():
     assert center_witness(1, 1) == 0
 
 
+@pytest.mark.parametrize("lam", [0.1, True])
+def test_witness_lambda_must_be_exact(lam):
+    with pytest.raises(TypeError, match="coefficient must be exact"):
+        center_witness(2, lam)
+    with pytest.raises(TypeError, match="coefficient must be exact"):
+        witness_matrices(lam)
+
+
 def test_witness_commutator_is_diagonal():
     x, xs = witness_matrices(Fraction(5))
     m = x * xs - xs * x

@@ -61,6 +61,63 @@ def test_parse_word_custom_alphabet():
         parse_word("e13", alpha)
 
 
+# e1 is a prefix of e11 and e12: the longest name wins
+PREFIX_ALPHABET = {"e1": Letter(1), "e11": Letter(2), "e12": Letter(3), "e21": Letter(4)}
+E1, E11, E12, E21 = (Letter(i) for i in range(1, 5))
+
+
+@pytest.mark.parametrize(
+    "text, alphabet, expected",
+    [
+        ("e1", PREFIX_ALPHABET, [E1]),
+        ("e11", PREFIX_ALPHABET, [E11]),
+        ("e12e1", PREFIX_ALPHABET, [E12, E1]),
+        ("e1e11", PREFIX_ALPHABET, [E1, E11]),
+        ("e111", PREFIX_ALPHABET, [E11]),
+        ("e21e12", PREFIX_ALPHABET, [E21, E12]),
+        ("e13", PREFIX_ALPHABET, ValueError),
+        ("e2", PREFIX_ALPHABET, ValueError),
+        ("x1", PREFIX_ALPHABET, ValueError),
+        ("e12·e21", PREFIX_ALPHABET, [E12, E21]),
+        ("e12 e21", PREFIX_ALPHABET, [E12, E21]),
+        ("e12\te21", PREFIX_ALPHABET, [E12, E21]),
+        ("1e121e21", PREFIX_ALPHABET, [E12, E21]),
+        (" 1 ", PREFIX_ALPHABET, []),
+        ("x1·x1*", None, [Letter(1), Letter(1, True)]),
+        ("x1 x1*", None, [Letter(1), Letter(1, True)]),
+        ("x1\tx1*", None, [Letter(1), Letter(1, True)]),
+        ("1x1x1*", None, [Letter(1), Letter(1, True)]),
+        ("x·1·x*", None, [Letter(1), Letter(1, True)]),
+        ("x11", None, [Letter(11)]),
+        ("1", None, []),
+        ("", None, []),
+        ("e12", None, ValueError),
+        ("x0", None, ValueError),
+        ("x**", None, ValueError),
+    ],
+)
+def test_word_grammar_table(text, alphabet, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            parse_word(text, alphabet)
+    else:
+        assert parse_word(text, alphabet) == Word(expected)
+
+
+def test_both_alphabets_name_where_parsing_stops():
+    for text, alphabet in (("x1$x1", None), ("e12$e21", PREFIX_ALPHABET)):
+        with pytest.raises(ValueError) as e:
+            parse_word(text, alphabet)
+        assert str(e.value) == f"cannot parse word at {text[text.index('$'):]!r}"
+
+
+@pytest.mark.parametrize("alphabet", [{}, {"": Letter(1)}, {"": Letter(1), "e1": Letter(2)}])
+def test_parse_word_rejects_an_alphabet_without_usable_names(alphabet):
+    # an empty name would match everywhere and never advance
+    with pytest.raises(ValueError):
+        parse_word("x", alphabet)
+
+
 def test_canonical_rotation_examples():
     # x*x -> xx* under x < x*
     assert canonical_rotation(word("x*x")) == word("xx*")
