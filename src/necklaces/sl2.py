@@ -157,12 +157,10 @@ def decompose_bruteforce(n: int) -> WeightDecomposition:
 
 
 def decompose_by_formula(n: int) -> WeightDecomposition:
-    mults = {}
-    for m in range(0, n // 2 + 1):
-        value = multiplicity_formula(n, m)
-        if value:
-            mults[n - 2 * m] = value
-    return WeightDecomposition(n, mults)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    mults = {n - 2 * m: multiplicity_formula(n, m) for m in range(0, n // 2 + 1)}
+    return WeightDecomposition(n, {w: v for w, v in mults.items() if v})
 
 
 def table1(max_degree: int) -> list[WeightDecomposition]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import linalg, poisson
 from .brackets import BracketRule, center_element, necklace_bracket
-from .elements import UNIT_NECKLACE, Necklace, NecklaceElement, _as_necklace_element, _coeff
+from .elements import NecklaceElement, _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
@@ -76,53 +76,17 @@ def generator_polynomials() -> dict[str, Polynomial]:
     return {g: trace_of(w, mats) for g, w in zip(GENERATORS, _TABLE2_NECKLACES)}
 
 
-_NECKLACE_TO_GENERATOR = {
-    UNIT_NECKLACE: None,  # unit: tr(identity) = 2
-    **{Necklace.of(w): g for g, w in zip(GENERATORS, _TABLE2_NECKLACES)},
-}
-
-
-def induced_bracket(w1, w2) -> Polynomial:
-    """The necklace bracket at n = 2 as a polynomial in the five trace
-    generators; an ArithmeticError when it leaves degree <= 2."""
-    out: dict = {}
-    for neck, c in necklace_bracket(BracketRule.canonical(1), w1, w2).terms.items():
-        if neck not in _NECKLACE_TO_GENERATOR:
-            raise ArithmeticError(f"bracket of {w1}, {w2} leaves degree <= 2")
-        gen = _NECKLACE_TO_GENERATOR[neck]
-        term = Polynomial.constant(2 * c) if gen is None else Polynomial.variable(gen) * c
-        for m, v in term.terms.items():
-            out[m] = out.get(m, 0) + v
-    return Polynomial(out)
-
-
-class Table2:
-    """The bracket table of the trace generators, entries[i][j] = {g_i, g_j}."""
-
-    __slots__ = ("generators", "entries")
-
-    def __init__(self, generators: tuple[str, ...], entries: list[list[Polynomial]]):
-        self.generators, self.entries = generators, entries
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
-    def is_antisymmetric(self) -> bool:
-        k = len(self.generators)
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(k)
-            for j in range(k)
-        )
-
-    def strings(self) -> list[list[str]]:
-        return [[repr(e) for e in row] for row in self.entries]
-
-
-def table2() -> Table2:
-    """The 5 x 5 bracket table of the trace generators at n = 2."""
-    entries = [[induced_bracket(a, b) for b in _TABLE2_NECKLACES] for a in _TABLE2_NECKLACES]
-    return Table2(GENERATORS, entries)
+def table2() -> poisson.PoissonPolyAlgebra:
+    """The 5 x 5 bracket table of the trace generators at n = 2: each cell
+    is the necklace bracket of two generator necklaces, rewritten in the
+    generators.  Construction refuses a table that is not antisymmetric or
+    fails Jacobi on a generator triple, naming the cell or triple."""
+    rule = BracketRule.canonical(1)
+    cells = [
+        [express_in_trace_generators(necklace_bracket(rule, a, b)) for b in _TABLE2_NECKLACES]
+        for a in _TABLE2_NECKLACES
+    ]
+    return poisson.PoissonPolyAlgebra(GENERATORS, cells)
 
 
 def _homogeneous_parts(e: NecklaceElement) -> dict[int, NecklaceElement]:

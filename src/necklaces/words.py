@@ -25,7 +25,8 @@ import re
 class Letter(int):
     """One generator symbol, e.g. x2 or x2*, whose int value is its code.
 
-    Letters are interned: Letter(i, starred) is always the same object.
+    Letters are interned: Letter(i, starred) is always the same object, so
+    its attributes are read-only.
     """
 
     _cache: dict[int, "Letter"] = {}
@@ -38,9 +39,14 @@ class Letter(int):
         if cached is not None:
             return cached
         obj = cls._cache[code] = int.__new__(cls, code)
-        obj.index, obj.starred, obj.code = index, bool(starred), code
-        obj.name = f"x{index}" + ("*" if starred else "")
+        name = f"x{index}" + ("*" if starred else "")
+        obj.__dict__.update(index=index, starred=bool(starred), code=code, name=name)
         return obj
+
+    def __setattr__(self, *args):
+        raise AttributeError("Letter is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def from_code(code: int) -> "Letter":

@@ -189,6 +189,19 @@ def test_kontsevich_examples():
     assert kontsevich_bracket("x", "x*", 1) == NecklaceElement.unit(1)
 
 
+def test_kontsevich_reads_elements_term_pair_by_term_pair():
+    # text with several terms and rational coefficients, read like every
+    # other bracket's arguments; a word is read as its necklace
+    for a, b in [("2*x + x*x", "x* - 1/2*xx*x*"), ("x*x - 3*xx*xx* + 1", "2*x - x*x*")]:
+        assert kontsevich_bracket(a, b, 1) == necklace_bracket(CANON1, a, b)
+    assert kontsevich_bracket("2*x", "x*", 1) == NecklaceElement.unit(2)
+    assert kontsevich_bracket(word("x*x"), "xx", 1) == kontsevich_bracket("xx*", "xx", 1)
+    assert kontsevich_bracket("x + x2x2*", "x*x1", 2) == necklace_bracket(CANON2, "x + x2x2*", "x*x1")
+    # the letter bound is checked on every necklace of either element
+    with pytest.raises(ValueError, match=r"necklace \(x2\) uses letters beyond x1"):
+        kontsevich_bracket("x", "x* + x2", 1)
+
+
 def test_kontsevich_matches_necklace_bracket():
     necks = [n for k in range(7) for n in enumerate_necklaces(1, k)]
     for n1 in necks:

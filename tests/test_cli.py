@@ -95,6 +95,20 @@ def test_table2_json(capsys):
     assert data["audited_cell"]["value"] == "-2*tr(x*)"
 
 
+def test_table2_refusal_is_one_line_exit_2(capsys, monkeypatch):
+    from necklaces import traces
+
+    real = traces.necklace_bracket
+    skewed = lambda rule, a, b: (3 if (a, b) == ("x1", "x1*") else 1) * real(rule, a, b)
+    monkeypatch.setattr(traces, "necklace_bracket", skewed)
+    assert main(["table2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "necklaces table2: error: table is not antisymmetric at (tr(x), tr(x*))\n"
+    )
+
+
 def test_center_command(capsys):
     code, out = run(capsys, "center", "1", "2", "6")
     assert code == 0

@@ -12,6 +12,19 @@ def test_rank_empty_matrices():
     assert rank([[0, 0], [0, 0]]) == 0
 
 
+def test_dict_rows_are_refused():
+    # enumerating a dict reads its keys as values: [{0: 1}, {1: 1}] would
+    # read as [[0], [1]] and have rank 1, not 2
+    with pytest.raises(TypeError, match="not a dict"):
+        rank([{0: 1}, {1: 1}])
+    with pytest.raises(TypeError, match="not a dict"):
+        rank([[1, 0], {1: 1}])
+    with pytest.raises(TypeError, match="not a dict"):
+        solve_unique([{0: 1}, {1: 1}], [1, 1])
+    with pytest.raises(TypeError, match="not a dict"):
+        solve_unique([[1, 0], {1: 1}], [1, 1])
+
+
 def test_rank_deficient_and_wide():
     # third row = first + second, with rational entries
     half = Fraction(1, 2)

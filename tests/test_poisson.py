@@ -41,7 +41,7 @@ def test_trace_preset_matches_engine_table():
     assert alg.generators == t.generators
     for i in range(5):
         for j in range(5):
-            assert alg.table[i][j] == t.entry(i, j), (i, j)
+            assert alg.table[i][j] == t.table[i][j], (i, j)
 
 
 def test_bracket_biderivation():

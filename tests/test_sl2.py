@@ -137,6 +137,9 @@ def test_table1_rows():
 def test_decompose_bounds():
     with pytest.raises(ValueError):
         decompose_bruteforce(0)
+    for n in (0, -1, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            decompose_by_formula(n)
     with pytest.raises(ValueError):
         decompose_bruteforce(15)
 

@@ -6,6 +6,7 @@ from necklaces.brackets import BracketRule, center_element, necklace_bracket
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import FreeElement, Necklace, NecklaceElement
 from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
+from necklaces.poisson import PoissonPolyAlgebra
 from necklaces.sampling import random_word, rng
 from necklaces.traces import (
     GENERATORS,
@@ -17,7 +18,6 @@ from necklaces.traces import (
     express_in_trace_generators,
     generator_polynomials,
     generic_matrices,
-    induced_bracket,
     stated_casimir_expression,
     table2,
     trace_of,
@@ -95,36 +95,75 @@ def test_trace_rotation_invariance_and_commutators():
         assert trace_of(a.commutator(b), mats).is_zero
 
 
-def test_induced_bracket_table_cells():
-    assert induced_bracket("x", "x*") == 2 + Z
-    assert induced_bracket("xx", "x*x*") == 4 * T5
-    assert induced_bracket("xx*", "xx") == -2 * T3
+def bracket_in_generators(a, b):
+    return express_in_trace_generators(necklace_bracket(BracketRule.canonical(1), a, b))
 
 
-def test_induced_bracket_rejects_output_beyond_degree_two():
-    # a degree-4 output has no linear expression in the five generators
+def test_table2_cells_are_brackets_in_the_generators():
+    assert bracket_in_generators("x", "x*") == 2 + Z
+    assert bracket_in_generators("xx", "x*x*") == 4 * T5
+    assert bracket_in_generators("xx*", "xx") == -2 * T3
+
+
+def test_bracket_beyond_degree_two_follows_the_table():
+    # a degree-4 bracket has no linear expression in the five generators;
+    # the same route rewrites it, and it is the table's Poisson bracket of
+    # the two traces
     assert not necklace_bracket(BracketRule.canonical(1), "xxx*", "xx*x*").is_zero
-    with pytest.raises(ArithmeticError) as e:
-        induced_bracket("xxx*", "xx*x*")
-    assert str(e.value) == "bracket of xxx*, xx*x* leaves degree <= 2"
+    got = bracket_in_generators("xxx*", "xx*x*")
+    assert got.total_degree() > 1
+    rhs = table2().bracket(express_in_trace_generators("xxx*"), express_in_trace_generators("xx*x*"))
+    assert got == rhs
 
 
 def test_table2_matches_expected_and_antisymmetric():
     t = table2()
+    assert isinstance(t, PoissonPolyAlgebra)  # antisymmetry and Jacobi checked
     assert t.generators == GENERATORS
     for i in range(5):
         for j in range(5):
-            assert t.entry(i, j) == EXPECTED_TABLE2[i][j], (i, j)
-    assert t.is_antisymmetric()
+            assert t.table[i][j] == EXPECTED_TABLE2[i][j], (i, j)
+            assert t.table[i][j] == -t.table[j][i], (i, j)
+
+
+def skew_cell(monkeypatch, a, b, extra, both_ways):
+    """Make table2 see {a, b} + extra, and {b, a} - extra if both_ways."""
+    from necklaces import traces
+
+    real = traces.necklace_bracket
+
+    def skewed(rule, u, v):
+        out = real(rule, u, v)
+        if (u, v) == (a, b):
+            return out + NecklaceElement.of(extra)
+        if both_ways and (v, u) == (a, b):
+            return out - NecklaceElement.of(extra)
+        return out
+
+    monkeypatch.setattr(traces, "necklace_bracket", skewed)
+
+
+def test_table2_refuses_a_table_that_is_not_antisymmetric(monkeypatch):
+    skew_cell(monkeypatch, "x1", "x1*", "x1", both_ways=False)
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(tr\(x\), tr\(x\*\)\)"):
+        table2()
+
+
+def test_table2_refuses_a_table_that_fails_jacobi(monkeypatch):
+    # {tr(x), tr((x*)^2)} = 2 tr(x*) + tr(x) stays antisymmetric, but
+    # {tr(x*), {tr(x), tr((x*)^2)}} picks up {tr(x*), tr(x)} = -2
+    skew_cell(monkeypatch, "x1", "x1*x1*", "x1", both_ways=True)
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on generators \(tr\(x\), tr\(x\*\), tr\(\(x\*\)\^2\)\)"):
+        table2()
 
 
 def test_table2_audited_cell():
     # the ((x*)^2, x) cell is pinned by antisymmetry to -2 tr(x*); the
     # variant reading -2 tr((x*)^2) cannot occur in an antisymmetric table
     t = table2()
-    assert t.entry(3, 0) == -t.entry(0, 3)
-    assert t.entry(3, 0) == -2 * T2
-    assert t.entry(3, 0) != -2 * T4
+    assert t.table[3][0] == -t.table[0][3]
+    assert t.table[3][0] == -2 * T2
+    assert t.table[3][0] != -2 * T4
 
 
 def test_abelianization_is_symplectic_poisson_at_n1():

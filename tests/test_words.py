@@ -37,6 +37,18 @@ def test_letter_codes_roundtrip():
         assert Letter(a.index, a.starred) is a
 
 
+def test_letters_are_read_only():
+    # a letter is one shared object, so no caller may rename or renumber it
+    a = Letter(1)
+    for attr, value in [("name", "y"), ("index", 7), ("starred", True), ("code", 5)]:
+        with pytest.raises(AttributeError):
+            setattr(a, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert (a.name, a.index, a.starred, a.code) == ("x1", 1, False, 0)
+    assert format_word(word("x1x1*")) == "x1x1*" and word("x1").max_index() == 1
+
+
 def test_word_basics():
     w = word("x1x1*")
     assert len(w) == 2
