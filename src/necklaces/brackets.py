@@ -15,10 +15,15 @@ letter -> its partners with their tensor terms.  Both kernels, double_bracket
 and necklace_bracket, open every term of their first argument once, at each
 letter, into rows keyed by partner letter, then walk each position of each
 term of the second and take only the row of its letter; under the canonical
-rule that is x_i against x_i* alone.
+rule that is x_i against x_i* alone.  necklace_bracket keeps the last
+opening it made, keyed by the rule and the content of the first argument,
+and reuses it when the next call repeats both: a center check brackets c_n
+against every necklace, and opens c_n once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .counting import enumerate_necklaces
 from .elements import (
@@ -122,6 +127,26 @@ def loday_bracket(rule: BracketRule, a, b) -> FreeElement:
     return double_bracket(rule, a, b).collapse()
 
 
+@lru_cache(maxsize=1)
+def _open(rule: BracketRule, e1: NecklaceElement) -> dict:
+    """e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
+    b_q -> ((u . a_>p . a_<p . v, c1 * c), ...).
+
+    The last opening is kept, keyed by the rule's identity and e1's content,
+    so a run of brackets with one left argument opens it once.  Elements are
+    immutable and the caller only reads the rows.
+    """
+    opened: dict = {}
+    for a, c1 in e1.terms.items():
+        for p, ap in enumerate(a):
+            rest = a[p + 1:] + a[:p]
+            for partner, terms in rule.partners.get(ap, ()):
+                row = opened.setdefault(partner, [])
+                for (u, v), c in terms:
+                    row.append((u + rest + v, c1 * c))
+    return {partner: tuple(row) for partner, row in opened.items()}
+
+
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     """The induced Lie bracket on cyclic words.
 
@@ -135,16 +160,7 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
         return NecklaceElement()
     for n in (*e1.terms, *e2.terms):
         rule.check_letters(n)
-    # e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
-    # b_q -> [(u . a_>p . a_<p . v, c1 * c), ...]
-    opened: dict = {}
-    for a, c1 in e1.terms.items():
-        for p, ap in enumerate(a):
-            rest = a[p + 1:] + a[:p]
-            for partner, terms in rule.partners.get(ap, ()):
-                row = opened.setdefault(partner, [])
-                for (u, v), c in terms:
-                    row.append((u + rest + v, c1 * c))
+    opened = _open(rule, e1)
     # the collapsed words as plain tuples, which hash and compare like the
     # Words with the same letters; only the survivors become Words
     out: dict = {}

@@ -244,11 +244,13 @@ def project_to_necklace(e: FreeElement) -> NecklaceElement:
 
     Kills every commutator: project_to_necklace(ab - ba) == 0.
     """
+    # sums keyed by the least rotation, which hashes and compares like its
+    # Necklace; only the nonzero sums become Necklaces
     out = {}
     for w, c in e.terms.items():
-        k = Necklace.of(w)
+        k = canonical_rotation(w)
         out[k] = out.get(k, 0) + c
-    return NecklaceElement(out)
+    return NecklaceElement({Necklace._unchecked(k): c for k, c in out.items() if c})
 
 
 def _as_free(e) -> FreeElement:

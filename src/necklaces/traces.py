@@ -51,11 +51,27 @@ def word_matrix(w: Word, mats) -> PolyMatrix:
 
 def trace_of(e, mats) -> Polynomial:
     """Trace of a necklace element on the given matrices; rotation-invariant
-    and linear, with the unit necklace mapping to the matrix size."""
+    and linear, with the unit necklace mapping to the matrix size.
+
+    Words with a common prefix share its product: each prefix's matrix is
+    kept, and a prefix one letter longer costs one product with that
+    letter's matrix."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    prefix = {(): PolyMatrix.identity(mats[0].size)}
     out: dict = {}
     for neck, c in _as_necklace_element(e).terms.items():
-        for m, v in word_matrix(neck, mats).trace().terms.items():
-            out[m] = out.get(m, 0) + c * v
+        m = prefix[()]
+        for i, a in enumerate(neck, 1):
+            key = neck[:i]
+            got = prefix.get(key)
+            if got is None:
+                if a.code >= len(mats):
+                    raise ValueError(f"letter {a.name} has no matrix")
+                got = prefix[key] = m * mats[a.code]
+            m = got
+        for mono, v in m.trace().terms.items():
+            out[mono] = out.get(mono, 0) + c * v
     return Polynomial(out)
 
 
@@ -117,10 +133,12 @@ def express_in_trace_generators(e) -> Polynomial:
     gens = generator_polynomials()
     gen_list = [gens[name] for name in GENERATORS]
     terms: dict = {}
+    traced = Polynomial()  # the sum of the part traces: e's trace, by linearity
     for degree, part in _homogeneous_parts(e).items():
         if degree > 4:
             raise ValueError(f"degree {degree} exceeds the rewriting bound 4")
-        target = trace_of(part, list(_mats2()))
+        target = trace_of(part, _mats2())
+        traced = traced + target
         if target.is_zero:
             continue
         exponents = _candidate_exponents(degree)
@@ -157,7 +175,7 @@ def express_in_trace_generators(e) -> Polynomial:
     result = Polynomial(terms)
     # certify: substituting the generator polynomials reproduces the trace
     check = result.substitute(generator_polynomials())
-    if check != trace_of(e, list(_mats2())):
+    if check != traced:
         raise ArithmeticError("generator rewriting failed verification")
     return result
 

@@ -5,6 +5,7 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
+    _open,
     center_check,
     center_element,
     check_grading,
@@ -237,6 +238,18 @@ def test_kontsevich_matches_necklace_bracket_exhaustive(d, total):
             ), (n1, n2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_kontsevich_matches_necklace_bracket_on_the_center_path(n):
+    """center_check's path: one left element bracketed against every
+    necklace in turn, so every call after the first reuses its opening.
+    c_n gives zero throughout; c_n + (x1x2*) is not central."""
+    necks = [m for k in range(5) for m in enumerate_necklaces(2, k)]
+    cn = center_element(2, n)
+    for left in (cn, cn + NecklaceElement.of("x1x2*")):
+        for m in necks:
+            assert necklace_bracket(CANON2, left, m) == kontsevich_bracket(left, m, 2), (left, m)
+
+
 def test_double_jacobi_examples():
     assert verify_double_jacobi(CANON1, "x", "x*", "x").is_zero
     assert verify_double_jacobi(CANON1, "xx*", "x*x", "xx").is_zero
@@ -271,8 +284,14 @@ def test_center_check_full_grid():
     # the whole desk-scale grid; the d=2, n=3 cell is the expensive one
     for d in (1, 2):
         for n in (1, 2, 3):
+            _open.cache_clear()
             report = center_check(d, n, 6)
             assert report.ok, (d, n, report.failures()[:3])
+            # c_n is opened once and reused for every necklace; c_1 is zero,
+            # and a zero bracket opens nothing
+            opened = int(n > 1)
+            assert _open.cache_info().misses == opened
+            assert _open.cache_info().hits == opened * (len(report.entries) - 1)
 
 
 def test_center_check_reports_violations_for_noncentral(monkeypatch):
@@ -440,3 +459,48 @@ def test_double_bracket_checks_letters_when_the_other_side_is_zero():
     for a, b in ((FreeElement(), "x2"), ("x2", FreeElement())):
         with pytest.raises(ValueError, match="x2"):
             double_bracket(CANON1, a, b)
+
+
+_LEFT_TERMS = [(Necklace.of("x1"), 2), (Necklace.of("x1x1"), -1), (Necklace.of("x1x1x1"), Fraction(1, 3))]
+
+
+def _left_copy(k: int) -> NecklaceElement:
+    """A new element equal to every other copy, its terms inserted in a
+    rotated order."""
+    k %= len(_LEFT_TERMS)
+    return NecklaceElement(dict(_LEFT_TERMS[k:] + _LEFT_TERMS[:k]))
+
+
+def test_reused_opening_matches_a_fresh_one():
+    """necklace_bracket keeps its last opening of the left argument.  One
+    left element, as equal but distinct copies, interleaved across three
+    rules, agrees call by call with an opening made afresh."""
+    ngl2 = ngl(2)
+    rules = [CANON1, CANON1, CANON2, ngl2, ngl2, CANON1, CANON2, CANON2, ngl2, CANON1] * 3
+    r = rng(41)
+    calls = [(rule, _sampled_necklace_element(r, rule.generators)) for rule in rules]
+    want = []
+    for k, (rule, right) in enumerate(calls):
+        _open.cache_clear()
+        want.append(necklace_bracket(rule, _left_copy(k), right))
+    assert sum(map(bool, want)) > 20
+    _open.cache_clear()
+    got = [necklace_bracket(rule, _left_copy(k), right) for k, (rule, right) in enumerate(calls)]
+    assert got == want
+    # a new opening exactly where the rule changes; equal copies hit
+    changes = 1 + sum(a is not b for a, b in zip(rules, rules[1:]))
+    assert _open.cache_info().misses == changes
+    assert _open.cache_info().hits == len(rules) - changes
+
+
+def test_letters_are_checked_on_a_cache_hit():
+    """A hit on the last opening never skips the letter check, on either
+    argument."""
+    _open.cache_clear()
+    necklace_bracket(CANON2, NecklaceElement.of("x1x2*"), "x1*x2")
+    with pytest.raises(ValueError, match="x10"):
+        necklace_bracket(CANON2, NecklaceElement.of("x1x2*"), "x10")
+    # were e1 opened before its check, the second call would hit the first's opening
+    for _ in range(2):
+        with pytest.raises(ValueError, match="x2"):
+            necklace_bracket(CANON1, NecklaceElement.of("x1x2*"), "x1*")

@@ -23,6 +23,7 @@ from necklaces.traces import (
     trace_of,
     verify_cayley_hamilton,
     witness_matrices,
+    word_matrix,
 )
 from necklaces.words import letters
 
@@ -79,8 +80,6 @@ def test_trace_of_1x1_is_commutative_evaluation():
 
 
 def test_trace_rotation_invariance_and_commutators():
-    from necklaces.traces import word_matrix
-
     mats = generic_matrices(1, 2)
     r = rng(30)
     for _ in range(25):
@@ -93,6 +92,49 @@ def test_trace_rotation_invariance_and_commutators():
         a = FreeElement.of(random_word(r, letters(1), 1, 3))
         b = FreeElement.of(random_word(r, letters(1), 1, 3))
         assert trace_of(a.commutator(b), mats).is_zero
+
+
+def _trace_by_word_matrix(e, mats) -> Polynomial:
+    """The oracle: each necklace's product built from the identity."""
+    total = Polynomial.zero()
+    for neck, c in e.terms.items():
+        total = total + word_matrix(neck, mats).trace().scaled(c)
+    return total
+
+
+def test_trace_of_shares_prefixes_and_matches_word_products():
+    witness = list(witness_matrices(Fraction(3, 2)))
+    c8 = center_element(1, 8)
+    assert trace_of(c8, witness) == _trace_by_word_matrix(c8, witness)
+    mats = generic_matrices(2, 2)
+    r = rng(47)
+    for _ in range(12):
+        e = NecklaceElement(
+            {Necklace.of(random_word(r, letters(2), 0, 4)): r.randint(-3, 3) for _ in range(4)}
+        )
+        assert trace_of(e, mats) == _trace_by_word_matrix(e, mats)
+
+
+def test_trace_of_counts_one_product_per_distinct_prefix(monkeypatch):
+    products = []
+    original = PolyMatrix.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+    assert center_witness(6, Fraction(2)) == 2 * 2**6 + (-2) ** 6 * 2**6
+    # the words of c_6 have 76 distinct nonempty prefixes; built one by one
+    # from the identity they would cost 156 products
+    assert len(products) == 76
+
+
+def test_trace_of_needs_a_matrix():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        trace_of("xx*", [])
+    with pytest.raises(ValueError, match="letter x1\\* has no matrix"):
+        trace_of("xx*", generic_matrices(1, 2)[:1])
 
 
 def bracket_in_generators(a, b):
