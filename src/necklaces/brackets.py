@@ -11,14 +11,13 @@ both axioms directly.  Collapsing with the multiplication map gives the
 Loday bracket; projecting to cyclic words gives the necklace Lie bracket.
 
 Only the pairs the rule stores contribute, so each rule keeps a partner index,
-letter -> its partners with their tensor terms.  Both kernels, double_bracket
-and necklace_bracket, open every term of their first argument once, at each
-letter, into rows keyed by partner letter, then walk each position of each
-term of the second and take only the row of its letter; under the canonical
-rule that is x_i against x_i* alone.  necklace_bracket keeps the last
-opening it made, keyed by the rule and the content of the first argument,
-and reuses it when the next call repeats both: a center check brackets c_n
-against every necklace, and opens c_n once.
+letter -> its partners with their tensor terms.  One opening, _open, serves
+both walks: each term of the first argument is opened at each letter into
+rows keyed by partner letter, and double_bracket and necklace_bracket walk
+each position of each term of the second and take only the row of its
+letter (x_i against x_i* alone under the canonical rule).  The last opening
+is kept, so a run of brackets with one left argument opens it once: c_n in a
+center check, a against every term of {{b, c}} in a double Jacobi check.
 """
 
 from __future__ import annotations
@@ -92,28 +91,40 @@ class BracketRule:
             raise ValueError(f"letter {a.name} is not a generator of this rule")
 
 
-def double_bracket(rule: BracketRule, a, b) -> TensorElement:
-    """The double bracket {{a, b}} in A (x) A, extended bilinearly."""
-    a, b = _as_free(a), _as_free(b)
-    for w in (*a.terms, *b.terms):
-        rule.check_letters(w)
-    # a opened at each letter a_p, once per term u (x) v of each partner b_q:
-    # b_q -> [(u . a_>p, a_<p . v, c_a * c), ...]
+@lru_cache(maxsize=1)
+def _open(rule: BracketRule, e) -> dict:
+    """e opened at each letter a_p, once per term u (x) v of each partner b_q:
+    b_q -> ((u . a_>p . a_<p . v, c_a * c, cut), ...) with cut = len(u . a_>p).
+
+    Kept for the last (rule, e), the rule by identity and e by content;
+    elements are immutable and the walks only read the rows.
+    """
     opened: dict = {}
-    for wa, ca in a.terms.items():
-        for p, ap in enumerate(wa):
+    for a, ca in e.terms.items():
+        for p, ap in enumerate(a):
+            rest, after = a[p + 1:] + a[:p], len(a) - p - 1
             for partner, terms in rule.partners.get(ap, ()):
                 row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
-                    row.append((u + wa[p + 1:], wa[:p] + v, ca * c))
+                    row.append((u + rest + v, ca * c, len(u) + after))
+    return {partner: tuple(row) for partner, row in opened.items()}
+
+
+def double_bracket(rule: BracketRule, a, b) -> TensorElement:
+    """The double bracket {{a, b}} in A (x) A, extended bilinearly: each
+    opened word of a splits at its cut into (b_<q . u . a_>p) (x) (a_<p . v . b_>q)."""
+    a, b = _as_free(a), _as_free(b)
+    for w in (*a.terms, *b.terms):
+        rule.check_letters(w)
+    opened = _open(rule, a)
     out: dict = {}
     for wb, cb in b.terms.items():
         for q, bq in enumerate(wb):
             row = opened.get(bq)
             if row:
                 head, tail = wb[:q], wb[q + 1:]
-                for left, right, c in row:
-                    key = (Word(head + left), Word(right + tail))
+                for w, c, cut in row:
+                    key = (Word(head + w[:cut]), Word(w[cut:] + tail))
                     out[key] = out.get(key, 0) + c * cb
     return TensorElement(out)
 
@@ -125,26 +136,6 @@ def loday_bracket(rule: BracketRule, a, b) -> FreeElement:
     unchanged when the first argument is rotated cyclically.
     """
     return double_bracket(rule, a, b).collapse()
-
-
-@lru_cache(maxsize=1)
-def _open(rule: BracketRule, e1: NecklaceElement) -> dict:
-    """e1 opened at each letter a_p, once per term u (x) v of each partner b_q:
-    b_q -> ((u . a_>p . a_<p . v, c1 * c), ...).
-
-    The last opening is kept, keyed by the rule's identity and e1's content,
-    so a run of brackets with one left argument opens it once.  Elements are
-    immutable and the caller only reads the rows.
-    """
-    opened: dict = {}
-    for a, c1 in e1.terms.items():
-        for p, ap in enumerate(a):
-            rest = a[p + 1:] + a[:p]
-            for partner, terms in rule.partners.get(ap, ()):
-                row = opened.setdefault(partner, [])
-                for (u, v), c in terms:
-                    row.append((u + rest + v, c1 * c))
-    return {partner: tuple(row) for partner, row in opened.items()}
 
 
 def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
@@ -169,7 +160,7 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
             row = opened.get(bq)
             if row:
                 head, tail = n[:q], n[q + 1:]
-                for middle, c in row:
+                for middle, c, _ in row:
                     k = head + middle + tail
                     out[k] = out.get(k, 0) + c * c2
     return project_to_necklace(FreeElement({Word(k): c for k, c in out.items() if c}))

@@ -130,7 +130,10 @@ def cmd_bracket(args):
     if args.d is not None and not canonical:
         raise ValueError("--d applies only to the canonical rule")
     if args.rule.startswith("ngl:"):
-        rule = ngl(int(args.rule.split(":", 1)[1]))
+        n = args.rule[4:]
+        if not (n.isdecimal() and int(n) >= 1):
+            raise ValueError(f"--rule {args.rule!r} is not ngl:N with an integer N >= 1")
+        rule = ngl(int(n))
     elif not canonical:
         with open(args.rule) as fh:
             rule = linear_rule(StructureConstants.from_json(fh.read()))

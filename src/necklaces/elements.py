@@ -337,9 +337,19 @@ class TripleTensor(_Combination):
 _TERM = re.compile(r"(?!\Z)([\s+-]*)(?:(\d+(?:/\d+)?)\s*(\*?))?([^+-]*)")
 
 
+# refused before Fraction("1e999999999") builds a billion-digit integer
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """An exact rational from "p", "p/q" or any other literal Fraction reads;
-    a zero denominator is a ValueError that names the input."""
+    a zero denominator or an exponent above _MAX_EXPONENT is a ValueError
+    that names the input."""
+    m = _EXPONENT.search(text) if isinstance(text, str) else None
+    # five significant digits are past the bound, and no more are read
+    if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is above {_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

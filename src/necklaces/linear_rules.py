@@ -84,7 +84,7 @@ class StructureConstants:
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants":
         """{"dim": n, "a": [[i, j, k, "p/q"], ...]}; omitted entries are 0."""
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=parse_rational)
         if not isinstance(data, dict):
             raise ValueError("a rule file must hold a JSON object")
         dim = data.get("dim")

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import linalg, poisson
 from .brackets import BracketRule, center_element, necklace_bracket
-from .elements import NecklaceElement, _as_necklace_element, _coeff
+from .elements import _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
@@ -77,8 +78,7 @@ def trace_of(e, mats) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _mats2() -> tuple[PolyMatrix, PolyMatrix]:
-    x, xs = generic_matrices(1, 2)
-    return x, xs
+    return tuple(generic_matrices(1, 2))
 
 
 # the necklaces whose traces are the five generators, in GENERATORS' order
@@ -88,8 +88,7 @@ _TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
 @lru_cache(maxsize=None)
 def generator_polynomials() -> dict[str, Polynomial]:
     """The five trace generators as polynomials in the 8 indeterminates."""
-    mats = _mats2()
-    return {g: trace_of(w, mats) for g, w in zip(GENERATORS, _TABLE2_NECKLACES)}
+    return {g: trace_of(w, _mats2()) for g, w in zip(GENERATORS, _TABLE2_NECKLACES)}
 
 
 def table2() -> poisson.PoissonPolyAlgebra:
@@ -105,77 +104,34 @@ def table2() -> poisson.PoissonPolyAlgebra:
     return poisson.PoissonPolyAlgebra(GENERATORS, cells)
 
 
-def _homogeneous_parts(e: NecklaceElement) -> dict[int, NecklaceElement]:
-    parts: dict[int, dict] = {}
-    for neck, c in e.terms.items():
-        parts.setdefault(neck.degree, {})[neck] = c
-    return {k: NecklaceElement(v) for k, v in parts.items()}
-
-
-def _candidate_exponents(degree: int):
-    """Exponent tuples over the five generators with weighted degree equal
-    to `degree`."""
-    out = []
-    for c in range(degree // 2 + 1):
-        for dd in range(degree // 2 - c + 1):
-            for e5 in range(degree // 2 - c - dd + 1):
-                rest = degree - 2 * (c + dd + e5)
-                for a in range(rest + 1):
-                    out.append((a, rest - a, c, dd, e5))
-    return out
-
-
 def express_in_trace_generators(e) -> Polynomial:
     """Rewrite the trace of a necklace element of degree <= 4 as a
-    polynomial in the five generators, by exact linear solve against the
-    generic-matrix evaluation.  The result is verified by substitution."""
+    polynomial in the five generators, by one exact linear solve over the
+    generator monomials of weighted degree <= its top degree; the result is
+    verified by substitution."""
     e = _as_necklace_element(e)
+    top = max((neck.degree for neck in e.terms), default=0)
+    if top > 4:
+        raise ValueError(f"degree {top} exceeds the rewriting bound 4")
+    # tr(x) and tr(x*) weigh 1, the other three generators 2
+    monomials = [
+        tuple(sorted((g, k) for g, k in zip(GENERATORS, exps) if k))
+        for exps in product(range(top + 1), repeat=len(GENERATORS))
+        if exps[0] + exps[1] + 2 * sum(exps[2:]) <= top
+    ]
     gens = generator_polynomials()
-    gen_list = [gens[name] for name in GENERATORS]
-    terms: dict = {}
-    traced = Polynomial()  # the sum of the part traces: e's trace, by linearity
-    for degree, part in _homogeneous_parts(e).items():
-        if degree > 4:
-            raise ValueError(f"degree {degree} exceeds the rewriting bound 4")
-        target = trace_of(part, _mats2())
-        traced = traced + target
-        if target.is_zero:
-            continue
-        exponents = _candidate_exponents(degree)
-        evaluated = []
-        for exps in exponents:
-            p = Polynomial.constant(1)
-            for g, ex in zip(gen_list, exps):
-                if ex:
-                    p = p * g**ex
-            evaluated.append(p)
-        monomials = sorted(
-            {m for p in evaluated for m in p.terms} | set(target.terms)
-        )
-        index = {m: i for i, m in enumerate(monomials)}
-        a = [[Fraction(0)] * len(evaluated) for _ in monomials]
-        for j, p in enumerate(evaluated):
-            for m, c in p.terms.items():
-                a[index[m]][j] = c
-        b = [Fraction(0)] * len(monomials)
-        for m, c in target.terms.items():
-            b[index[m]] = c
-        solution = linalg.solve_unique(a, b)
-        if solution is None:
-            raise ArithmeticError("trace is not a polynomial in the five generators")
-        for exps, coeff in zip(exponents, solution):
-            if not coeff:
-                continue
-            mono = Polynomial.constant(coeff)
-            for name, ex in zip(GENERATORS, exps):
-                if ex:
-                    mono = mono * Polynomial.variable(name, ex)
-            for m, v in mono.terms.items():
-                terms[m] = terms.get(m, 0) + v
-    result = Polynomial(terms)
+    evaluated = [Polynomial({m: 1}).substitute(gens) for m in monomials]
+    target = trace_of(e, _mats2())
+    rows = sorted({m for p in (target, *evaluated) for m in p.terms})
+    solution = linalg.solve_unique(
+        [[p.terms.get(m, 0) for p in evaluated] for m in rows],
+        [target.terms.get(m, 0) for m in rows],
+    )
+    if solution is None:
+        raise ArithmeticError("trace is not a polynomial in the five generators")
+    result = Polynomial(dict(zip(monomials, solution)))
     # certify: substituting the generator polynomials reproduces the trace
-    check = result.substitute(generator_polynomials())
-    if check != traced:
+    if result.substitute(gens) != target:
         raise ArithmeticError("generator rewriting failed verification")
     return result
 
@@ -232,7 +188,7 @@ def casimir_image() -> CheckReport:
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()
     gens = generator_polynomials()
-    mats = list(_mats2())
+    mats = _mats2()
     report = CheckReport("Casimir image of the central elements at n=2")
     c2_trace = trace_of(center_element(1, 2), mats)
     report.add(
@@ -274,7 +230,7 @@ def casimir_image_as_displayed() -> CheckReport:
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()
     gens = generator_polynomials()
-    c2_trace = trace_of(center_element(1, 2), list(_mats2()))
+    c2_trace = trace_of(center_element(1, 2), _mats2())
     report = CheckReport("displayed Casimir image variants")
     report.add(
         "tr([x,x*]^2) equals the stated expression",

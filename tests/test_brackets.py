@@ -5,6 +5,7 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
+    _left_extend,
     _open,
     center_check,
     center_element,
@@ -22,6 +23,7 @@ from necklaces.elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
+    TripleTensor,
     parse_element,
     project_to_necklace,
 )
@@ -491,6 +493,43 @@ def test_reused_opening_matches_a_fresh_one():
     changes = 1 + sum(a is not b for a, b in zip(rules, rules[1:]))
     assert _open.cache_info().misses == changes
     assert _open.cache_info().hits == len(rules) - changes
+    # the same run through double_bracket, which reads the same opening,
+    # against the per-pair scan summed over the term pairs
+    _open.cache_clear()
+    nonzero = 0
+    for k, (rule, right) in enumerate(calls):
+        left = FreeElement(_left_copy(k).terms)
+        want = TensorElement()
+        for wa, ca in left.terms.items():
+            for wb, cb in right.terms.items():
+                want = want + _reference_double_bracket(rule, wa, wb).scaled(ca * cb)
+        assert double_bracket(rule, left, FreeElement(right.terms)) == want
+        nonzero += not want.is_zero
+    assert nonzero > 20
+    assert _open.cache_info().misses == changes
+    assert _open.cache_info().hits == len(rules) - changes
+
+
+def test_left_extend_opens_its_element_once():
+    """{{a, u (x) v}} for every term of a k-term tensor reads one opening
+    of a: one miss, then k - 1 hits."""
+    rule = _two_partner_rule()
+    a = FreeElement({word("x1x2*x1"): 2, word("x2x1*"): Fraction(-1, 3)})
+    t = TensorElement({
+        (word("x1*x2"), word("x1")): 1,
+        (word("x2*x2*"), EMPTY_WORD): -2,
+        (word("x1*"), word("x2*x1")): 5,
+    })
+    _open.cache_clear()
+    got = _left_extend(rule, a, t)
+    assert _open.cache_info().misses == 1
+    assert _open.cache_info().hits == len(t.terms) - 1
+    want = {}
+    for (u, v), c in t.terms.items():
+        for wa, ca in a.terms.items():
+            for (s, r), c2 in _reference_double_bracket(rule, wa, u).terms.items():
+                want[(s, r, v)] = want.get((s, r, v), 0) + c * ca * c2
+    assert got == TripleTensor(want) and got
 
 
 def test_letters_are_checked_on_a_cache_hit():

@@ -58,6 +58,20 @@ def test_bracket_names_an_unknown_bead(capsys):
     assert capsys.readouterr().err == "necklaces bracket: error: cannot parse word at 'e13'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bracket", "x", "y", "--rule", "ngl:abc"], "--rule 'ngl:abc' is not ngl:N with an integer N >= 1"),
+        (["bracket", "x", "y", "--rule", "ngl:0"], "--rule 'ngl:0' is not ngl:N with an integer N >= 1"),
+        (["classify", "1", "2", "3", "4", "1e5000"], "exponent of '1e5000' is above 1000"),
+        (["center", "1", "2", "--witness-lambda=1e5000"], "exponent of '1e5000' is above 1000"),
+    ],
+)
+def test_bad_number_and_rule_name_the_input(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"necklaces {argv[0]}: error: {message}\n"
+
+
 def test_bracket_rule_from_json_file(tmp_path, capsys):
     table = {"dim": 1, "a": [[1, 1, 1, "1"]]}
     path = tmp_path / "sc.json"
@@ -193,6 +207,7 @@ BAD_RULE_FILES = {
     "fractional_index.json": '{"dim": 1, "a": [[1.5, 1, 1, "1"]]}',
     "infinite_value.json": '{"dim": 1, "a": [[1, 1, 1, Infinity]]}',
     "boolean_value.json": '{"dim": 1, "a": [[1, 1, 1, true]]}',
+    "huge_exponent.json": '{"dim": 1, "a": [[1, 1, 1, 1e5000]]}',
 }
 
 
@@ -224,6 +239,10 @@ BAD_RULE_FILES = {
         ["center", "2", "2", "3", "--witness-lambda=abc"],
         ["bracket", "x +", "x*"],
         ["bracket", "2*", "x"],
+        ["bracket", "x", "y", "--rule", "ngl:abc"],
+        ["classify", "1", "2", "3", "4", "1e5000"],
+        ["center", "1", "2", "--witness-lambda=1e5000"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/huge_exponent.json"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):

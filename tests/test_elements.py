@@ -12,6 +12,7 @@ from necklaces.elements import (
     TripleTensor,
     format_element,
     parse_element,
+    parse_rational,
     project_to_necklace,
 )
 from necklaces.traces import generic_matrices, trace_of
@@ -215,3 +216,14 @@ def test_format_examples():
     e = FreeElement({word("x"): 1, word("x*"): Fraction(-1, 2)})
     assert format_element(e) == "x1 - 1/2*x1*"
     assert format_element(FreeElement()) == "0"
+
+
+def test_rational_exponent_is_bounded_before_the_number_is_built():
+    assert parse_rational("1e1000") == 10**1000
+    assert parse_rational("-2.5E-0_1") == Fraction(-1, 4)
+    assert parse_rational("3e0000000000002") == 300
+    # 1e999999999 would build a billion-digit integer; the check reads only
+    # the exponent's digits
+    for text in ("1e1001", "1e5000", "1E-5000", "2.5e+9_999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent of .* is above 1000"):
+            parse_rational(text)

@@ -182,6 +182,14 @@ def test_json_float_values_are_their_decimals():
             StructureConstants.from_json(text)
 
 
+def test_json_exponent_above_the_bound_is_refused():
+    # a JSON number is read by the same parse_rational as the CLI's numbers
+    for value in ("1e5000", '"1e5000"', "-1E-5000"):
+        text = '{"dim": 1, "a": [[1, 1, 1, %s]]}' % value
+        with pytest.raises(ValueError, match="exponent of '-?1[eE]-?5000' is above 1000"):
+            StructureConstants.from_json(text)
+
+
 def test_json_boolean_value_is_not_a_number():
     # Fraction(True) is 1, so a boolean must be refused before it is read
     for value in ("true", "false"):

@@ -236,6 +236,22 @@ def test_express_rejects_high_degree():
         express_in_trace_generators(Necklace.of("xxx*xx*"))
 
 
+def test_express_mixed_degrees_in_one_call():
+    # unit + x + xx* + c_2 spans degrees 0 to 4 and is rewritten in one solve
+    e = NecklaceElement({Necklace.of(""): 1, Necklace.of("x"): 1, Necklace.of("xx*"): 1})
+    e = e + center_element(1, 2)
+    got = express_in_trace_generators(e)
+    assert got == 2 + T1 + T5 + (-2 * stated_casimir_expression())
+    assert got.substitute(generator_polynomials()) == trace_of(e, generic_matrices(1, 2))
+    # one degree-5 term among low ones is refused by its degree
+    with pytest.raises(ValueError, match="degree 5 exceeds"):
+        express_in_trace_generators(e + NecklaceElement.of(Necklace.of("xxx*xx*")))
+
+
+def test_express_zero_is_the_zero_polynomial():
+    assert express_in_trace_generators(NecklaceElement()) == Polynomial.zero()
+
+
 def test_trace_map_is_poisson_morphism():
     # tr{w1, w2} = {tr w1, tr w2} with the right side extended from the
     # generator table by Leibniz
