@@ -18,6 +18,8 @@ each position of each term of the second and take only the row of its
 letter (x_i against x_i* alone under the canonical rule).  The last opening
 is kept, so a run of brackets with one left argument opens it once: c_n in a
 center check, a against every term of {{b, c}} in a double Jacobi check.
+_open checks the letters of each term it opens, so a kept opening is not
+checked again, and each walk checks each word of the second argument.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ class BracketRule:
     """Generator-level double bracket: a map (Letter, Letter) -> TensorElement.
 
     Construction validates twisted antisymmetry, rule(b, a) ==
-    -flip(rule(a, b)), over all stored pairs.
+    -flip(rule(a, b)), over all stored pairs.  degree_shift is the common
+    len(u) + len(v) - 2 of the stored terms u (x) v; None if they differ or
+    there are none.
     """
 
     __slots__ = ("generators", "genset", "table", "partners", "names", "degree_shift")
 
-    def __init__(self, generators, table, names=None, degree_shift=None):
+    def __init__(self, generators, table, names=None):
         self.generators = tuple(generators)
         self.genset = genset = frozenset(self.generators)
         clean = {}
@@ -69,7 +73,8 @@ class BracketRule:
             partners.setdefault(a, []).append((b, tuple(t.terms.items())))
         self.partners = {a: tuple(row) for a, row in partners.items()}
         self.names = dict(names) if names else None
-        self.degree_shift = degree_shift
+        shifts = {len(u) + len(v) - 2 for t in clean.values() for u, v in t.terms}
+        self.degree_shift = shifts.pop() if len(shifts) == 1 else None
 
     @classmethod
     def canonical(cls, d: int) -> "BracketRule":
@@ -80,7 +85,7 @@ class BracketRule:
             xi, xis = Letter(i), Letter(i, True)
             table[(xi, xis)] = TensorElement.unit(1)
             table[(xis, xi)] = TensorElement.unit(-1)
-        return cls(gens, table, degree_shift=-2)
+        return cls(gens, table)
 
     def pair(self, a: Letter, b: Letter) -> TensorElement | None:
         return self.table.get((a, b))
@@ -96,11 +101,13 @@ def _open(rule: BracketRule, e) -> dict:
     """e opened at each letter a_p, once per term u (x) v of each partner b_q:
     b_q -> ((u . a_>p . a_<p . v, c_a * c, cut), ...) with cut = len(u . a_>p).
 
-    Kept for the last (rule, e), the rule by identity and e by content;
-    elements are immutable and the walks only read the rows.
+    Each term's letters are checked as it is opened.  Kept for the last
+    (rule, e), the rule by identity and e by content; elements are immutable
+    and the walks only read the rows.
     """
     opened: dict = {}
     for a, ca in e.terms.items():
+        rule.check_letters(a)
         for p, ap in enumerate(a):
             rest, after = a[p + 1:] + a[:p], len(a) - p - 1
             for partner, terms in rule.partners.get(ap, ()):
@@ -114,11 +121,10 @@ def double_bracket(rule: BracketRule, a, b) -> TensorElement:
     """The double bracket {{a, b}} in A (x) A, extended bilinearly: each
     opened word of a splits at its cut into (b_<q . u . a_>p) (x) (a_<p . v . b_>q)."""
     a, b = _as_free(a), _as_free(b)
-    for w in (*a.terms, *b.terms):
-        rule.check_letters(w)
     opened = _open(rule, a)
     out: dict = {}
     for wb, cb in b.terms.items():
+        rule.check_letters(wb)
         for q, bq in enumerate(wb):
             row = opened.get(bq)
             if row:
@@ -149,13 +155,12 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    for n in (*e1.terms, *e2.terms):
-        rule.check_letters(n)
     opened = _open(rule, e1)
     # the collapsed words as plain tuples, which hash and compare like the
     # Words with the same letters; only the survivors become Words
     out: dict = {}
     for n, c2 in e2.terms.items():
+        rule.check_letters(n)
         for q, bq in enumerate(n):
             row = opened.get(bq)
             if row:
@@ -267,7 +272,7 @@ def check_grading(rule: BracketRule, pairs) -> CheckReport:
     anything); a failure names a necklace of the wrong degree."""
     shift = rule.degree_shift
     if shift is None:
-        raise ValueError("rule declares no degree shift")
+        raise ValueError("rule has no degree shift: term lengths differ or there are no terms")
     report = CheckReport(f"necklace bracket has degree {shift}")
     for n1, n2 in pairs:
         n1, n2 = Necklace.of(n1), Necklace.of(n2)

@@ -337,19 +337,28 @@ class TripleTensor(_Combination):
 _TERM = re.compile(r"(?!\Z)([\s+-]*)(?:(\d+(?:/\d+)?)\s*(\*?))?([^+-]*)")
 
 
-# refused before Fraction("1e999999999") builds a billion-digit integer
+# refused before Fraction("1e999999999") builds a billion-digit integer; a
+# literal of more digits is refused before int() meets its 4,300-digit limit
 _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
+def _check_digits(text: str, what: str) -> None:
+    """Refuse text of more than _MAX_EXPONENT digits, named by its start."""
+    if sum(map(str.isdecimal, text)) > _MAX_EXPONENT:
+        raise ValueError(f"{what} '{text[:24]}...' has more than {_MAX_EXPONENT} digits")
+
+
 def parse_rational(text: str) -> Fraction:
     """An exact rational from "p", "p/q" or any other literal Fraction reads;
-    a zero denominator or an exponent above _MAX_EXPONENT is a ValueError
-    that names the input."""
-    m = _EXPONENT.search(text) if isinstance(text, str) else None
-    # five significant digits are past the bound, and no more are read
-    if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
-        raise ValueError(f"exponent of {text!r} is above {_MAX_EXPONENT}")
+    a zero denominator, more than _MAX_EXPONENT digits or an exponent above
+    it is a ValueError that names the input."""
+    if isinstance(text, str):
+        m = _EXPONENT.search(text)
+        # five significant digits are past the bound, and no more are read
+        if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} is above {_MAX_EXPONENT}")
+        _check_digits(text, "number")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -84,7 +84,8 @@ class StructureConstants:
     @classmethod
     def from_json(cls, text: str) -> "StructureConstants":
         """{"dim": n, "a": [[i, j, k, "p/q"], ...]}; omitted entries are 0."""
-        data = json.loads(text, parse_float=parse_rational)
+        integer = lambda s: int(parse_rational(s))  # bounded in digits like every number
+        data = json.loads(text, parse_float=parse_rational, parse_int=integer)
         if not isinstance(data, dict):
             raise ValueError("a rule file must hold a JSON object")
         dim = data.get("dim")
@@ -110,24 +111,17 @@ class StructureConstants:
 
 
 def linear_rule(sc: StructureConstants, names=None) -> BracketRule:
-    """The degree -1 double bracket attached to an associative table."""
-    gens = unstarred(sc.dim)
-    table = {}
-    for i in range(1, sc.dim + 1):
-        for j in range(1, sc.dim + 1):
-            terms = {}
-            for k in range(1, sc.dim + 1):
-                xk = Word([Letter(k)])
-                forward = sc.coefficient(i, j, k)
-                if forward:
-                    terms[(xk, EMPTY_WORD)] = terms.get((xk, EMPTY_WORD), 0) + forward
-                backward = sc.coefficient(j, i, k)
-                if backward:
-                    terms[(EMPTY_WORD, xk)] = terms.get((EMPTY_WORD, xk), 0) - backward
-            t = TensorElement(terms)
-            if t:
-                table[(Letter(i), Letter(j))] = t
-    return BracketRule(gens, table, names=names, degree_shift=-1)
+    """The degree -1 double bracket attached to an associative table, from
+    one pass over the nonzero constants: a_ij^k puts x_k (x) 1 into
+    {{x_i, x_j}} and -1 (x) x_k into {{x_j, x_i}}."""
+    table: dict = {}
+    for (i, j, k), c in sc.a.items():
+        xk = Word([Letter(k)])
+        table.setdefault((Letter(i), Letter(j)), {})[(xk, EMPTY_WORD)] = c
+        table.setdefault((Letter(j), Letter(i)), {})[(EMPTY_WORD, xk)] = -c
+    return BracketRule(
+        unstarred(sc.dim), {pair: TensorElement(t) for pair, t in table.items()}, names=names
+    )
 
 
 def matrix_unit_index(n: int, i: int, j: int) -> int:
@@ -136,20 +130,11 @@ def matrix_unit_index(n: int, i: int, j: int) -> int:
 
 
 def gl_constants(n: int) -> StructureConstants:
-    """Structure constants of the full n x n matrix algebra: e_ij e_kl = delta_jk e_il."""
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if j == k:
-                        table[
-                            (
-                                matrix_unit_index(n, i, j),
-                                matrix_unit_index(n, k, l),
-                                matrix_unit_index(n, i, l),
-                            )
-                        ] = 1
+    """Structure constants of the full n x n matrix algebra: e_ij e_jl = e_il,
+    and every other product of matrix units is zero."""
+    r = range(1, n + 1)
+    unit = {(i, j): matrix_unit_index(n, i, j) for i in r for j in r}
+    table = {(unit[i, j], unit[j, l], unit[i, l]): 1 for i in r for j in r for l in r}
     return StructureConstants(n * n, table)
 
 

@@ -181,9 +181,10 @@ def casimir_image() -> CheckReport:
     tr([x,x*]^2) = 2tr((xx*)^2) - 2tr(x^2(x*)^2), which is -2 times the
     expression returned by stated_casimir_expression(); that expression in
     turn equals -(H'^2 + 4E'F').  Hence c_2 maps to +2(H'^2 + 4E'F'); the
-    report records both the exact identities and the two audited variants
-    claiming tr([x,x*]^2) itself equals the stated expression (equivalently
-    that c_2 maps to -(H'^2 + 4E'F')), which fail by the factor -2.
+    report records these exact identities.  The two audited variants, which
+    claim that tr([x,x*]^2) itself equals the stated expression (equivalently
+    that c_2 maps to -(H'^2 + 4E'F')) and fail by the factor -2, are
+    recorded by casimir_image_as_displayed().
     """
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()

@@ -9,7 +9,6 @@ and is kept faithful rather than weakened.
 """
 
 import itertools
-import sys
 from fractions import Fraction
 
 

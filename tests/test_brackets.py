@@ -533,13 +533,39 @@ def test_left_extend_opens_its_element_once():
 
 
 def test_letters_are_checked_on_a_cache_hit():
-    """A hit on the last opening never skips the letter check, on either
-    argument."""
+    """A hit on the last opening skips only the check of the first argument,
+    which the same rule passed when it was opened; the second argument is
+    checked on every call, by both walks."""
+    for bracket in (necklace_bracket, double_bracket):
+        _open.cache_clear()
+        bracket(CANON2, "x1x2*", "x1*x2")
+        with pytest.raises(ValueError, match="x10"):
+            bracket(CANON2, "x1x2*", "x10")
+        assert _open.cache_info().hits == 1
+        # a first argument that fails its check is never kept
+        for _ in range(2):
+            with pytest.raises(ValueError, match="x2"):
+                bracket(CANON1, "x1x2*", "x1*")
+        assert _open.cache_info().hits == 1
+
+
+def test_a_kept_opening_is_not_checked_again(monkeypatch):
+    calls = []
+    real = BracketRule.check_letters
+    monkeypatch.setattr(BracketRule, "check_letters", lambda rule, w: calls.append(w) or real(rule, w))
     _open.cache_clear()
-    necklace_bracket(CANON2, NecklaceElement.of("x1x2*"), "x1*x2")
-    with pytest.raises(ValueError, match="x10"):
-        necklace_bracket(CANON2, NecklaceElement.of("x1x2*"), "x10")
-    # were e1 opened before its check, the second call would hit the first's opening
-    for _ in range(2):
-        with pytest.raises(ValueError, match="x2"):
-            necklace_bracket(CANON1, NecklaceElement.of("x1x2*"), "x1*")
+    report = center_check(1, 2, 4)
+    # each term of c_2 once, when it is opened, and each necklace it meets once
+    assert report.ok and len(calls) == len(center_element(1, 2).terms) + len(report.entries)
+
+
+def test_degree_shift_is_derived_from_the_table():
+    x, xs = letters(1)
+    t = TensorElement({(word("x"), word("x*")): 3})
+    graded = BracketRule(letters(1), {(x, xs): t, (xs, x): -t.flip()})
+    assert graded.degree_shift == 0
+    assert check_grading(graded, [("xx*", "x*x"), ("x", "x*")]).ok
+    mixed = _two_partner_rule()
+    assert mixed.degree_shift is None and BracketRule(letters(1), {}).degree_shift is None
+    with pytest.raises(ValueError, match="no degree shift"):
+        check_grading(mixed, [("x1", "x1*")])

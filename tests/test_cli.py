@@ -58,6 +58,10 @@ def test_bracket_names_an_unknown_bead(capsys):
     assert capsys.readouterr().err == "necklaces bracket: error: cannot parse word at 'e13'\n"
 
 
+# 5,001 digits: past Python's 4,300-digit limit for int() and str()
+LONG = "1" + "0" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -65,6 +69,11 @@ def test_bracket_names_an_unknown_bead(capsys):
         (["bracket", "x", "y", "--rule", "ngl:0"], "--rule 'ngl:0' is not ngl:N with an integer N >= 1"),
         (["classify", "1", "2", "3", "4", "1e5000"], "exponent of '1e5000' is above 1000"),
         (["center", "1", "2", "--witness-lambda=1e5000"], "exponent of '1e5000' is above 1000"),
+        (["classify", "1", "2", "3", "4", LONG], f"number '{LONG[:24]}...' has more than 1000 digits"),
+        (["bracket", f"{LONG}*x", "x*"], f"number '{LONG[:24]}...' has more than 1000 digits"),
+        (["center", "1", "2", f"--witness-lambda={LONG}"], f"number '{LONG[:24]}...' has more than 1000 digits"),
+        (["bracket", "x", "y", "--rule", f"ngl:{LONG}"], f"--rule 'ngl:{LONG[:20]}...' has more than 1000 digits"),
+        (["center", "1", "8", "--witness-lambda=1e1000"], "witness value of c_8 at lambda=1e1000 is too long to print"),
     ],
 )
 def test_bad_number_and_rule_name_the_input(capsys, argv, message):
@@ -171,6 +180,16 @@ def test_ngl_command(capsys):
     assert len(data["pairs"]) == 16
 
 
+def test_decompose_checks_the_bound_before_the_formula(capsys, monkeypatch):
+    def formula(n):
+        raise AssertionError(f"decompose_by_formula({n}) ran before the bound was checked")
+
+    monkeypatch.setattr(cli, "decompose_by_formula", formula)
+    assert main(["decompose", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "necklaces decompose: error: degree 20000 outside the supported range 1..14\n"
+
+
 def test_decompose_command(capsys):
     code, out = run(capsys, "decompose", "8", "--format", "json")
     assert code == 0
@@ -208,6 +227,7 @@ BAD_RULE_FILES = {
     "infinite_value.json": '{"dim": 1, "a": [[1, 1, 1, Infinity]]}',
     "boolean_value.json": '{"dim": 1, "a": [[1, 1, 1, true]]}',
     "huge_exponent.json": '{"dim": 1, "a": [[1, 1, 1, 1e5000]]}',
+    "long_integer.json": '{"dim": 1, "a": [[1, 1, 1, %s]]}' % LONG,
 }
 
 
@@ -243,6 +263,12 @@ BAD_RULE_FILES = {
         ["classify", "1", "2", "3", "4", "1e5000"],
         ["center", "1", "2", "--witness-lambda=1e5000"],
         ["bracket", "x1", "x1", "--rule", "{tmp}/huge_exponent.json"],
+        ["classify", "1", "2", "3", "4", LONG],
+        ["bracket", f"{LONG}*x", "x*"],
+        ["center", "1", "2", f"--witness-lambda={LONG}"],
+        ["bracket", "x", "y", "--rule", f"ngl:{LONG}"],
+        ["center", "1", "8", "--witness-lambda=1e1000"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/long_integer.json"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
-"""No dead code in the core: every module under src/necklaces (but the
-re-exporting __init__.py) uses each name it imports, and every module-level
-_private function, class or constant is referenced somewhere in the package."""
+"""No dead code: every module under src/necklaces (but the re-exporting
+__init__.py) uses each name it imports, and every module-level _private
+function, class or constant is referenced somewhere in the package; the
+same holds for the tests and the demos, checked as a second set."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import necklaces
 SOURCES = sorted(
     p for p in Path(necklaces.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+REPO = Path(__file__).resolve().parent.parent
+TESTS_AND_DEMOS = sorted([*REPO.glob("tests/*.py"), *REPO.glob("demos/*.py")])
 
 
 def _imported(tree: ast.Module):
@@ -70,6 +73,12 @@ def _dead_code(paths) -> list[str]:
 def test_no_unused_import_or_unreferenced_private_name():
     assert len(SOURCES) > 10
     found = _dead_code(SOURCES)
+    assert not found, "\n".join(found)
+
+
+def test_no_unused_import_or_unreferenced_private_name_in_tests_and_demos():
+    assert len(TESTS_AND_DEMOS) > 20
+    found = _dead_code(TESTS_AND_DEMOS)
     assert not found, "\n".join(found)
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,39 @@ def test_linear_rule_grading_minus_one():
     assert report.ok and len(report.entries) == 40 and rule.degree_shift == -1
 
 
+def _dense_linear_table(sc):
+    """{{x_i, x_j}} = sum_k a_ij^k x_k (x) 1 - a_ji^k 1 (x) x_k, over every
+    i, j and k up to dim."""
+    table = {}
+    for i, j in itertools.product(range(1, sc.dim + 1), repeat=2):
+        terms = {}
+        for k in range(1, sc.dim + 1):
+            xk = Word([Letter(k)])
+            if sc.coefficient(i, j, k):
+                terms[(xk, EMPTY_WORD)] = sc.coefficient(i, j, k)
+            if sc.coefficient(j, i, k):
+                terms[(EMPTY_WORD, xk)] = -sc.coefficient(j, i, k)
+        if terms:
+            table[(Letter(i), Letter(j))] = TensorElement(terms)
+    return table
+
+
+def test_linear_rule_matches_the_dense_definition():
+    dual_numbers = StructureConstants(2, {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1})
+    for sc in (gl_constants(2), gl_constants(3), dual_numbers):
+        rule = linear_rule(sc)
+        assert rule.table == _dense_linear_table(sc) and rule.degree_shift == -1
+    for n in (2, 3):
+        # e_ij e_kl = delta_jk e_il, over all four indices
+        units = list(itertools.product(range(1, n + 1), repeat=2))
+        want = {
+            (matrix_unit_index(n, i, j), matrix_unit_index(n, k, l), matrix_unit_index(n, i, l)): 1
+            for (i, j), (k, l) in itertools.product(units, repeat=2)
+            if j == k
+        }
+        assert gl_constants(n).a == want
+
+
 def test_homogeneous_parts_are_degree1_modules():
     rule = ngl(2)
     r = rng(21)
@@ -188,6 +222,17 @@ def test_json_exponent_above_the_bound_is_refused():
         text = '{"dim": 1, "a": [[1, 1, 1, %s]]}' % value
         with pytest.raises(ValueError, match="exponent of '-?1[eE]-?5000' is above 1000"):
             StructureConstants.from_json(text)
+
+
+def test_json_number_of_more_than_1000_digits_is_refused():
+    # Python's int() and str() stop at 4,300 digits; the reader stops first
+    long = "1" + "0" * 5000
+    for value in (long, f'"{long}"', f"{long}.5"):
+        text = '{"dim": 1, "a": [[1, 1, 1, %s]]}' % value
+        with pytest.raises(ValueError, match="number '1000.*' has more than 1000 digits"):
+            StructureConstants.from_json(text)
+    with pytest.raises(ValueError, match="has more than 1000 digits"):
+        StructureConstants.from_json('{"dim": %s, "a": []}' % long)
 
 
 def test_json_boolean_value_is_not_a_number():

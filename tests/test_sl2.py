@@ -6,6 +6,7 @@ from necklaces import sl2
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import necklace_dimension
 from necklaces.elements import NecklaceElement
+from necklaces.multipoly import Polynomial
 from necklaces.sl2 import (
     Sl2Generators,
     WeightDecomposition,
@@ -152,6 +153,34 @@ def test_low_degree_structure_d1():
 def test_low_degree_structure_d2():
     report = check_low_degree_structure(2)
     assert report.ok, "\n".join(str(e) for e in report.failures())
+
+
+def test_low_degree_structure_d3_has_one_entry_per_pair():
+    # injectivity, one entry per ordered pair of the 28 necklaces of degree
+    # <= 2, and the central unit; d = 1 adds the sl2 triple (6 necklaces)
+    report = check_low_degree_structure(3)
+    assert report.ok, "\n".join(str(e) for e in report.failures())
+    assert len(report.entries) == 1 + 28 * 28 + 1
+    assert len(check_low_degree_structure(1).entries) == 1 + 6 * 6 + 1 + 3
+    assert len(check_low_degree_structure(2).entries) == 1 + 15 * 15 + 1
+
+
+def test_low_degree_structure_names_a_pair_when_the_bracket_is_doubled(monkeypatch):
+    real = sl2.necklace_bracket
+    monkeypatch.setattr(sl2, "necklace_bracket", lambda rule, a, b: 2 * real(rule, a, b))
+    report = check_low_degree_structure(1)
+    failed = [e.label for e in report.failures()]
+    assert not report.ok and "{(x1),(x1*)}" in failed and "{(x1x1),(x1*)}" in failed
+    # a zero bracket doubled is still right
+    assert "{(x1),(x1)}" not in failed and "unit necklace is central" not in failed
+
+
+def test_low_degree_structure_needs_an_injective_trace(monkeypatch):
+    monkeypatch.setattr(sl2, "trace_of", lambda e, mats: Polynomial())
+    report = check_low_degree_structure(2)
+    assert [e.label for e in report.failures()] == [
+        "n = 1 trace sends the 15 necklaces of degree <= 2 to distinct monomials"
+    ]
 
 
 def test_sl2_generators_are_an_immutable_hashable_value():
