@@ -33,6 +33,7 @@ from .elements import (
     Necklace,
     NecklaceElement,
     _check_digits,
+    _excerpt,
     _signed_sum,
     format_element,
     parse_element,
@@ -128,13 +129,11 @@ def cmd_dims(args):
 
 def cmd_bracket(args):
     canonical = args.rule == "canonical"
-    if args.d is not None and not canonical:
-        raise ValueError("--d applies only to the canonical rule")
     if args.rule.startswith("ngl:"):
         n = args.rule[4:]
         _check_digits(args.rule, "--rule")
         if not (n.isdecimal() and int(n) >= 1):
-            raise ValueError(f"--rule {args.rule!r} is not ngl:N with an integer N >= 1")
+            raise ValueError(f"--rule {_excerpt(args.rule)!r} is not ngl:N with an integer N >= 1")
         rule = ngl(int(n))
     elif not canonical:
         with open(args.rule) as fh:
@@ -143,10 +142,8 @@ def cmd_bracket(args):
     alphabet = {v: k for k, v in names.items()} if names else None
     e1, e2 = (project_to_necklace(parse_element(w, alphabet)) for w in (args.w1, args.w2))
     if canonical:
-        d = args.d or max(
-            (n.max_index() for e in (e1, e2) for n in e.terms),
-            default=1,
-        )
+        # the canonical bracket of elements in x1..xk is the same for every d >= k
+        d = max((n.max_index() for e in (e1, e2) for n in e.terms), default=1)
         rule = BracketRule.canonical(d)
     result = necklace_bracket(rule, e1, e2)
     payload = {"bracket": _necklace_element_json(result, names)}
@@ -230,6 +227,14 @@ def cmd_table2(args):
     return text, payload, csv, True
 
 
+def _printed(value, what: str) -> str:
+    """str(value), or a ValueError naming `what` past Python's digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"{what} is too long to print") from None
+
+
 def cmd_center(args):
     d, n, bound = args.d, args.n, args.bound
     lam = parse_rational(args.witness_lambda)
@@ -252,12 +257,8 @@ def cmd_center(args):
         "violations": violations,
     }
     if d == 1:
-        value = center_witness(n, lam)
-        try:  # str() refuses an int past Python's digit limit
-            value = str(value)
-        except ValueError:
-            where = f"c_{n} at lambda={args.witness_lambda}"
-            raise ValueError(f"witness value of {where} is too long to print") from None
+        where = f"witness value of c_{n} at lambda={_excerpt(args.witness_lambda)}"
+        value = _printed(center_witness(n, lam), where)
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": value}
     ok = report.ok
@@ -266,16 +267,19 @@ def cmd_center(args):
     return text, payload, None, ok
 
 
+def _summary(report, label, witnesses, count, noun):
+    """Add one entry for `count` sampled `noun`, of which `witnesses` (text)
+    fail; a failure names how many fail and the first of them."""
+    detail = f"{len(witnesses)} of {count} {noun} fail, first {witnesses[0]}" if witnesses else ""
+    report.add(label, not witnesses, detail)
+
+
 def _sampled(report, label, r, alphabet, top, holds, count):
     """Check `holds` on `count` random word triples of length 0..top and add
-    one entry; a failure names the first failing triple."""
+    one entry through _summary; a failing triple reads (a, b, c)."""
     triples = ([random_word(r, alphabet, 0, top) for _ in range(3)] for _ in range(count))
-    failed = [t for t in triples if not holds(*t)]
-    detail = ""
-    if failed:
-        witness = ", ".join(format_word(w) for w in failed[0])
-        detail = f"{len(failed)} of {count} triples fail, first ({witness})"
-    report.add(label, not failed, detail)
+    failed = [f"({', '.join(map(format_word, t))})" for t in triples if not holds(*t)]
+    _summary(report, label, failed, count, "triples")
 
 
 def _suite_jacobi(seed: int, max_degree: int) -> CheckReport:
@@ -313,12 +317,8 @@ def _suite_grading(seed: int, max_degree: int) -> CheckReport:
         ("linear", ngl(2), linear_pairs),
     ):
         label = f"{name} rule has degree {rule.degree_shift}"
-        failed = check_grading(rule, pairs).failures()
-        detail = ""
-        if failed:
-            first = failed[0]
-            detail = f"{len(failed)} of {len(pairs)} pairs fail, first {first.label}: {first.detail}"
-        report.add(label, not failed, detail)
+        failed = [f"{e.label}: {e.detail}" for e in check_grading(rule, pairs).failures()]
+        _summary(report, label, failed, len(pairs), "pairs")
     return report
 
 
@@ -344,16 +344,13 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
-    coords = [parse_rational(v) for v in (args.X, args.Y, args.E, args.F, args.H)]
-    got = classify_point(coords)
-    text = [str(got)]
-    payload = {
-        "leaf": got.leaf,
-        "luna_type": got.luna_type,
-        "casimir": str(got.casimir),
-        "primed": [str(v) for v in got.primed],
-    }
-    return text, payload, None, True
+    literals = (args.X, args.Y, args.E, args.F, args.H)
+    got = classify_point([parse_rational(v) for v in literals])
+    point = ", ".join(_excerpt(v) for v in literals)
+    casimir = _printed(got.casimir, f"Casimir value at ({point})")
+    primed = [_printed(v, f"{g} at ({point})") for g, v in zip(("E'", "F'", "H'"), got.primed)]
+    payload = {"leaf": got.leaf, "luna_type": got.luna_type, "casimir": casimir, "primed": primed}
+    return [str(got)], payload, None, True  # str(got) prints the Casimir checked above
 
 
 def cmd_ngl(args):
@@ -394,17 +391,26 @@ def cmd_decompose(args):
     return text, payload, None, agree
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int | None = None):
+    """The reader of every integer argument: at most 1000 digits, checked
+    before int() meets its digit limit, and at least `low` when it is given;
+    a refusal names the literal by its first 24 characters."""
     def parse(text: str) -> int:
-        value = int(text) if text.lstrip("+-").isdigit() else low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        try:
+            _check_digits(text, "integer")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        value = int(text) if digits.isdecimal() else None
+        if value is None or low is not None and value < low:
+            at_least = "" if low is None else f" >= {low}"
+            raise argparse.ArgumentTypeError(f"expected an integer{at_least}, got {_excerpt(text)!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
+_integer, _positive_int = _int_at_least(), _int_at_least(1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,7 +423,7 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
     """The global flags, which set only the given defaults."""
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--format", choices=("text", "json", "csv"))
-    flags.add_argument("--seed", type=int, help="seed for sampled checks")
+    flags.add_argument("--seed", type=_integer, help="seed for sampled checks")
     flags.add_argument("--max-degree", type=_positive_int)
     flags.add_argument("--output", help="write output to this path")
     flags.set_defaults(**defaults)
@@ -447,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w1")
     p.add_argument("w2")
     p.add_argument("--rule", default="canonical", help="canonical, ngl:N, or a JSON file")
-    p.add_argument("--d", type=_positive_int, default=None, help="number of symbol pairs")
     p.set_defaults(func=cmd_bracket)
 
     p = add_parser("table1", help="highest weight multiplicities by degree")
@@ -458,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table2)
 
     p = add_parser("center", help="centrality check and witness values")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("bound", type=int, nargs="?", default=6)
+    p.add_argument("d", type=_integer)
+    p.add_argument("n", type=_integer)
+    p.add_argument("bound", type=_integer, nargs="?", default=6)
     p.add_argument("--witness-lambda", default="1")
     p.set_defaults(func=cmd_center)
 
@@ -474,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = add_parser("ngl", help="matrix-algebra rule: degree-1 bracket table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=cmd_ngl)
 
     p = add_parser("decompose", help="weight decomposition of one degree")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=cmd_decompose)
     return parser
 

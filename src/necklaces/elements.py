@@ -343,26 +343,33 @@ _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
+def _excerpt(text: str) -> str:
+    """How an error names a literal: its first 24 characters, then "..."."""
+    return text if len(text) <= 24 else f"{text[:24]}..."
+
+
 def _check_digits(text: str, what: str) -> None:
     """Refuse text of more than _MAX_EXPONENT digits, named by its start."""
     if sum(map(str.isdecimal, text)) > _MAX_EXPONENT:
-        raise ValueError(f"{what} '{text[:24]}...' has more than {_MAX_EXPONENT} digits")
+        raise ValueError(f"{what} {_excerpt(text)!r} has more than {_MAX_EXPONENT} digits")
 
 
 def parse_rational(text: str) -> Fraction:
     """An exact rational from "p", "p/q" or any other literal Fraction reads;
-    a zero denominator, more than _MAX_EXPONENT digits or an exponent above
-    it is a ValueError that names the input."""
+    an unreadable literal, a zero denominator, more than _MAX_EXPONENT digits
+    or an exponent above it is a ValueError naming the input by _excerpt."""
     if isinstance(text, str):
         m = _EXPONENT.search(text)
         # five significant digits are past the bound, and no more are read
         if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {text!r} is above {_MAX_EXPONENT}")
+            raise ValueError(f"exponent of {_excerpt(text)!r} is above {_MAX_EXPONENT}")
         _check_digits(text, "number")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {_excerpt(text)!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid number {_excerpt(str(text))!r}") from None
 
 
 def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeElement:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .brackets import BracketRule, necklace_bracket
 from .elements import Necklace, NecklaceElement, TensorElement, _coeff, parse_rational
+from .elements import format_element
 from .report import CheckReport
 from .words import EMPTY_WORD, Letter, Word, unstarred
 
@@ -155,20 +156,17 @@ def ngl(n: int) -> BracketRule:
 
 
 def check_degree1_commutator(sc: StructureConstants, rule: BracketRule | None = None) -> CheckReport:
-    """Degree-1 necklace brackets must equal commutators of the multiplication."""
+    """Degree-1 necklace brackets must equal commutators of the multiplication;
+    a failing entry gives both, in the rule's bead names."""
     if rule is None:
         rule = linear_rule(sc)
     report = CheckReport(f"degree-1 commutator correspondence, dim={sc.dim}")
+    bead = lambda k: Necklace.of(Word([Letter(k)]))
+    shown = lambda e: format_element(e, rule.names)
     for i in range(1, sc.dim + 1):
         for j in range(1, sc.dim + 1):
-            ni = Necklace.of(Word([Letter(i)]))
-            nj = Necklace.of(Word([Letter(j)]))
-            got = necklace_bracket(rule, NecklaceElement.of(ni), NecklaceElement.of(nj))
-            expected = NecklaceElement(
-                {
-                    Necklace.of(Word([Letter(k)])): c
-                    for k, c in sc.commutator(i, j).items()
-                }
-            )
-            report.add(f"{{x{i}, x{j}}}", got == expected)
+            got = necklace_bracket(rule, bead(i), bead(j))
+            expected = NecklaceElement({bead(k): c for k, c in sc.commutator(i, j).items()})
+            detail = "" if got == expected else f"got {shown(got)}, expected {shown(expected)}"
+            report.add(f"{{x{i}, x{j}}}", not detail, detail)
     return report

@@ -54,12 +54,8 @@ class Polynomial(_Combination):
         return cls({_ONE: c})
 
     @classmethod
-    def variable(cls, name: str, power: int = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        if power == 0:
-            return cls.constant(1)
-        return cls({((name, power),): 1})
+    def variable(cls, name: str) -> "Polynomial":
+        return cls({((name, 1),): 1})
 
     def __eq__(self, other):
         # a bool or a Letter is not a scalar: compare unequal, do not raise

@@ -14,25 +14,23 @@ from __future__ import annotations
 
 import itertools
 
-from .multipoly import Polynomial
+from .multipoly import Polynomial, PolyMatrix
 from .report import CheckReport
 
 
 class PoissonPolyAlgebra:
+    """A bracket on polynomials in `generators` given by `table`, read as a
+    square PolyMatrix (scalars become constants) with a row per generator."""
+
     __slots__ = ("generators", "table")
 
     def __init__(self, generators, table):
         gens = tuple(generators)
-        k = len(gens)
-        rows = [list(r) for r in table]
-        if len(rows) != k or any(len(r) != k for r in rows):
+        entries = PolyMatrix(table).entries
+        if len(entries) != len(gens):
             raise ValueError("table must be square over the generators")
-        norm = [
-            [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in row]
-            for row in rows
-        ]
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "table", norm)
+        object.__setattr__(self, "table", entries)
         self._validate()
 
     def __setattr__(self, name, value):

@@ -74,13 +74,14 @@ def multiplicity_formula(n: int, m: int) -> int:
 
 
 class WeightDecomposition:
-    """Multiplicities of the highest weight modules inside one degree."""
+    """Multiplicities of the highest weight modules inside one degree; zero
+    multiplicities are dropped here, so equal maps mean equal decompositions."""
 
     __slots__ = ("degree", "multiplicities")
 
     def __init__(self, degree: int, multiplicities: dict[int, int]):
         self.degree = degree
-        self.multiplicities = multiplicities
+        self.multiplicities = {w: m for w, m in multiplicities.items() if m}
 
     def __repr__(self):
         return f"WeightDecomposition({self.degree!r}, {self.multiplicities!r})"
@@ -95,11 +96,8 @@ class WeightDecomposition:
         return sum(self.multiplicities.values())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeightDecomposition)
-            and self.degree == other.degree
-            and {w: m for w, m in self.multiplicities.items() if m}
-            == {w: m for w, m in other.multiplicities.items() if m}
+        return isinstance(other, WeightDecomposition) and (
+            (self.degree, self.multiplicities) == (other.degree, other.multiplicities)
         )
 
 
@@ -144,8 +142,7 @@ def decompose_bruteforce(n: int) -> WeightDecomposition:
             raise ArithmeticError(
                 f"E-action rank disagrees with counting at degree {n}, weight {weight}"
             )
-        if len(source) > len(target):
-            mults[weight] = len(source) - len(target)
+        mults[weight] = len(source) - len(target)
     return WeightDecomposition(n, mults)
 
 
@@ -153,7 +150,7 @@ def decompose_by_formula(n: int) -> WeightDecomposition:
     if n < 1:
         raise ValueError("n must be >= 1")
     mults = {n - 2 * m: multiplicity_formula(n, m) for m in range(0, n // 2 + 1)}
-    return WeightDecomposition(n, {w: v for w, v in mults.items() if v})
+    return WeightDecomposition(n, mults)
 
 
 def table1(max_degree: int) -> list[WeightDecomposition]:

@@ -163,14 +163,10 @@ def casimir_polynomial() -> Polynomial:
 
 
 def stated_casimir_expression() -> Polynomial:
-    """tr(x)tr(x*)tr(xx*) - tr(xx*)^2 + tr(x^2)tr((x*)^2)
-    - (tr(x^2)tr(x*)^2 + tr(x)^2 tr((x*)^2))/2, i.e. the generator
-    expression for tr(x^2(x*)^2) - tr((xx*)^2)."""
-    t1 = Polynomial.variable("tr(x)")
-    t2 = Polynomial.variable("tr(x*)")
-    t3 = Polynomial.variable("tr(x^2)")
-    t4 = Polynomial.variable("tr((x*)^2)")
-    t5 = Polynomial.variable("tr(xx*)")
+    """The stated generator expression for tr(x^2(x*)^2) - tr((xx*)^2):
+    tr(x)tr(x*)tr(xx*) - tr(xx*)^2 + tr(x^2)tr((x*)^2)
+    - (tr(x^2)tr(x*)^2 + tr(x)^2 tr((x*)^2))/2."""
+    t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in GENERATORS)
     return t1 * t2 * t5 - t5 * t5 + t3 * t4 - (t3 * t2 * t2 + t1 * t1 * t4) / 2
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from necklaces import brackets, cli
+from necklaces.brackets import kontsevich_bracket
 from necklaces.cli import main
 from necklaces.elements import Necklace, NecklaceElement, TripleTensor
 from necklaces.words import Word, word
@@ -60,6 +61,9 @@ def test_bracket_names_an_unknown_bead(capsys):
 
 # 5,001 digits: past Python's 4,300-digit limit for int() and str()
 LONG = "1" + "0" * 5000
+# 995 nines times 10^1000: within the reader's bounds, but the Casimir of five
+# of them has more than 4,300 digits
+HUGE = "9" * 995 + "e1000"
 
 
 @pytest.mark.parametrize(
@@ -74,10 +78,22 @@ LONG = "1" + "0" * 5000
         (["center", "1", "2", f"--witness-lambda={LONG}"], f"number '{LONG[:24]}...' has more than 1000 digits"),
         (["bracket", "x", "y", "--rule", f"ngl:{LONG}"], f"--rule 'ngl:{LONG[:20]}...' has more than 1000 digits"),
         (["center", "1", "8", "--witness-lambda=1e1000"], "witness value of c_8 at lambda=1e1000 is too long to print"),
+        (["classify", *[HUGE] * 5], f"Casimir value at ({', '.join([HUGE[:24] + '...'] * 5)}) is too long to print"),
+        (["classify", "1", "2", "3", "4", "1e" + "9" * 5000], f"exponent of '1e{'9' * 22}...' is above 1000"),
+        (["classify", "1", "2", "3", "4", "x" * 5000], f"invalid number '{'x' * 24}...'"),
+        (["dims", "1", LONG], f"argument kmax: integer '{LONG[:24]}...' has more than 1000 digits"),
+        (["center", LONG, "2"], f"argument d: integer '{LONG[:24]}...' has more than 1000 digits"),
+        (["ngl", "x" * 30], f"argument n: expected an integer, got '{'x' * 24}...'"),
+        (["decompose", "+-5"], "argument n: expected an integer, got '+-5'"),
+        (["verify", "jacobi", "--seed", LONG], f"argument --seed: integer '{LONG[:24]}...' has more than 1000 digits"),
     ],
 )
 def test_bad_number_and_rule_name_the_input(capsys, argv, message):
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses an argument
+        code = e.code
+    assert code == 2
     assert capsys.readouterr().err == f"necklaces {argv[0]}: error: {message}\n"
 
 
@@ -246,14 +262,12 @@ BAD_RULE_FILES = {
         ["dims", "1", "3", "--output", "{tmp}/missing/dims.txt"],
         ["dims", "1", "-1"],
         ["dims", "0", "3"],
-        ["bracket", "x", "x*", "--d", "0"],
         ["bracket", "x", "x*", "--rule", "{tmp}/no_dim.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/not_an_object.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/short_entry.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/fractional_index.json"],
         ["bracket", "x", "x*", "--rule", "{tmp}/infinite_value.json"],
         ["bracket", "x1", "x1", "--rule", "{tmp}/boolean_value.json"],
-        ["bracket", "e12", "e21", "--rule", "ngl:2", "--d", "5"],
         ["classify", "1", "2", "3", "4", "1/0"],
         ["center", "1", "2", "3", "--witness-lambda=1/0"],
         ["center", "2", "2", "3", "--witness-lambda=abc"],
@@ -269,6 +283,16 @@ BAD_RULE_FILES = {
         ["bracket", "x", "y", "--rule", f"ngl:{LONG}"],
         ["center", "1", "8", "--witness-lambda=1e1000"],
         ["bracket", "x1", "x1", "--rule", "{tmp}/long_integer.json"],
+        ["dims", "1", LONG],
+        ["dims", LONG, "2"],
+        ["center", LONG, "2"],
+        ["ngl", LONG],
+        ["decompose", LONG],
+        ["table1", "--max-degree", LONG],
+        ["verify", "jacobi", "--seed", LONG],
+        ["classify", "1", "2", "3", "4", "1e" + "9" * 5000],
+        ["classify", *[HUGE] * 5],
+        ["classify", "x" * 5000, "0", "0", "0", "0"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
@@ -281,9 +305,30 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
         code = e.code
     assert code == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert len(err.splitlines()) == 1 and err.endswith("\n") and len(err) <= 300
     assert err.startswith(f"necklaces {argv[0]}: error: ")
     assert "Traceback" not in err
+
+
+def test_bracket_has_no_d_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["bracket", "x", "x*", "--d", "2"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err == "necklaces: error: unrecognized arguments: --d 2\n"
+
+
+def test_bracket_reads_d_from_its_elements(capsys, monkeypatch):
+    seen = []
+
+    def oracle(e1, e2, d):
+        seen.append(d)
+        return kontsevich_bracket(e1, e2, d)
+
+    monkeypatch.setattr(cli, "kontsevich_bracket", oracle)
+    code, out = run(capsys, "bracket", "x2x2*", "x2", "--format", "json")
+    assert code == 0 and seen == [2]
+    data = json.loads(out)
+    assert data["agree"] is True and data["bracket"]["terms"] == [["-1", "x2"]]
 
 
 def test_failed_check_exits_1_and_names_a_triple(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces import linear_rules
 from necklaces.brackets import (
     check_grading,
     necklace_bracket,
@@ -94,6 +95,17 @@ def test_gl2_bracket_values():
 def test_degree1_commutator_gl2_and_gl3():
     assert check_degree1_commutator(gl_constants(2)).ok
     assert check_degree1_commutator(gl_constants(3)).ok
+
+
+def test_degree1_commutator_names_the_bracket_and_the_commutator(monkeypatch):
+    doubled = lambda rule, a, b: 2 * necklace_bracket(rule, a, b)
+    monkeypatch.setattr(linear_rules, "necklace_bracket", doubled)
+    report = check_degree1_commutator(gl_constants(2), ngl(2))
+    failed = {e.label: e.detail for e in report.failures()}
+    # the ten ordered pairs of matrix units whose commutator is not zero
+    assert len(failed) == 10
+    e12, e21 = matrix_unit_index(2, 1, 2), matrix_unit_index(2, 2, 1)
+    assert failed[f"{{x{e12}, x{e21}}}"] == "got 2*e11 - 2*e22, expected e11 - e22"
 
 
 def test_ngl1_is_commutative():

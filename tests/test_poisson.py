@@ -35,6 +35,13 @@ def test_construction_validates_jacobi():
     PoissonPolyAlgebra(("a", "b", "c"), [[0, c, -b], [-c, 0, a], [b, -a, 0]])
 
 
+def test_construction_refuses_a_table_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        PoissonPolyAlgebra(("a", "b"), [[0, 1], [-1]])
+    with pytest.raises(ValueError, match="table must be square over the generators"):
+        PoissonPolyAlgebra(SEMIDIRECT_GENERATORS, [[0] * 4 for _ in range(4)])
+
+
 def test_trace_preset_matches_engine_table():
     alg = trace_generator_algebra()
     t = table2()

@@ -200,6 +200,7 @@ def test_weight_decomposition_ignores_zero_multiplicities():
     assert WeightDecomposition(4, {4: 1, 0: 1, 2: 0}) == WeightDecomposition(4, {0: 1, 4: 1})
     assert WeightDecomposition(4, {4: 1}) != WeightDecomposition(5, {4: 1})
     assert repr(WeightDecomposition(2, {2: 1})) == "WeightDecomposition(2, {2: 1})"
+    assert repr(WeightDecomposition(4, {4: 1, 2: 0})) == "WeightDecomposition(4, {4: 1})"
 
 
 def test_decompose_bruteforce_names_a_rank_disagreement(monkeypatch):
