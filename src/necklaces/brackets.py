@@ -20,10 +20,17 @@ is kept, so a run of brackets with one left argument opens it once: c_n in a
 center check, a against every term of {{b, c}} in a double Jacobi check.
 _open checks the letters of each term it opens, so a kept opening is not
 checked again, and each walk checks each word of the second argument.
+
+necklace_bracket never builds a free-algebra element: it sums its collapsed
+words as code strings, one character chr(code) per letter, canonicalizes
+each nonzero sum with words.canonical_rotation, and decodes into Letters
+only the necklaces whose sums stay nonzero.  A code must be a code point,
+so a rule's letters stop at x557056.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 from .counting import enumerate_necklaces
@@ -39,14 +46,16 @@ from .elements import (
     project_to_necklace,
 )
 from .report import CheckReport
-from .words import Letter, Word, letters
+from .words import Letter, Word, canonical_rotation, letters
 
 
 class BracketRule:
     """Generator-level double bracket: a map (Letter, Letter) -> TensorElement.
 
-    Construction validates twisted antisymmetry, rule(b, a) ==
-    -flip(rule(a, b)), over all stored pairs.  degree_shift is the common
+    Construction validates that every code is a code point (see
+    necklace_bracket), and, over all stored pairs, that every letter of a
+    pair and of its value is a generator, and twisted antisymmetry,
+    rule(b, a) == -flip(rule(a, b)).  degree_shift is the common
     len(u) + len(v) - 2 of the stored terms u (x) v; None if they differ or
     there are none.
     """
@@ -56,12 +65,19 @@ class BracketRule:
     def __init__(self, generators, table, names=None):
         self.generators = tuple(generators)
         self.genset = genset = frozenset(self.generators)
+        if max(genset, default=0) > sys.maxunicode:
+            last = (sys.maxunicode + 1) // 2
+            raise ValueError(f"letter {max(genset).name} is past x{last}, the last with a code point")
         clean = {}
         for (a, b), t in table.items():
             if a not in genset or b not in genset:
                 raise ValueError(f"rule mentions letter outside generator set: {a}, {b}")
             if t:
                 clean[(a, b)] = t
+        # necklace_bracket decodes the letters of the values through genset
+        used = {x for t in clean.values() for uv in t.terms for w in uv for x in w}
+        if not genset.issuperset(used):
+            raise ValueError(f"rule mentions letter outside generator set: {min(used - genset)}")
         for (a, b), t in clean.items():
             mirrored = clean.get((b, a), TensorElement())
             if mirrored != -t.flip():
@@ -99,7 +115,8 @@ class BracketRule:
 @lru_cache(maxsize=1)
 def _open(rule: BracketRule, e) -> dict:
     """e opened at each letter a_p, once per term u (x) v of each partner b_q:
-    b_q -> ((u . a_>p . a_<p . v, c_a * c, cut), ...) with cut = len(u . a_>p).
+    b_q -> ((w, c_a * c, cut, code), ...) with w = u . a_>p . a_<p . v,
+    cut = len(u . a_>p) and code the code string of w (see necklace_bracket).
 
     Each term's letters are checked as it is opened.  Kept for the last
     (rule, e), the rule by identity and e by content; elements are immutable
@@ -113,7 +130,8 @@ def _open(rule: BracketRule, e) -> dict:
             for partner, terms in rule.partners.get(ap, ()):
                 row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
-                    row.append((u + rest + v, ca * c, len(u) + after))
+                    w = u + rest + v
+                    row.append((w, ca * c, len(u) + after, "".join(map(chr, w))))
     return {partner: tuple(row) for partner, row in opened.items()}
 
 
@@ -129,7 +147,7 @@ def double_bracket(rule: BracketRule, a, b) -> TensorElement:
             row = opened.get(bq)
             if row:
                 head, tail = wb[:q], wb[q + 1:]
-                for w, c, cut in row:
+                for w, c, cut, _ in row:
                     key = (Word(head + w[:cut]), Word(w[cut:] + tail))
                     out[key] = out.get(key, 0) + c * cb
     return TensorElement(out)
@@ -149,26 +167,40 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
 
     Each term u (x) v of {{a_p, b_q}} for representatives a, b collapses to
     the word b_<q . u . a_>p . a_<p . v . b_>q.  These are summed over all
-    representative pairs in the free algebra and projected once: projection
-    is linear, and many collapsed words cancel before it.
+    representative pairs first, and only the nonzero sums are canonicalized
+    and summed by necklace: many collapsed words cancel before that.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
     opened = _open(rule, e1)
-    # the collapsed words as plain tuples, which hash and compare like the
-    # Words with the same letters; only the survivors become Words
+    # words as code strings, one character chr(code) per letter: code-point
+    # order is the letter order, a str caches its hash and slices and joins
+    # in C; only the necklaces of nonzero sums are decoded into Letters
     out: dict = {}
     for n, c2 in e2.terms.items():
         rule.check_letters(n)
+        code = "".join(map(chr, n))
         for q, bq in enumerate(n):
             row = opened.get(bq)
             if row:
-                head, tail = n[:q], n[q + 1:]
-                for middle, c, _ in row:
+                head, tail = code[:q], code[q + 1:]
+                for _, c, _, middle in row:
                     k = head + middle + tail
                     out[k] = out.get(k, 0) + c * c2
-    return project_to_necklace(FreeElement({Word(k): c for k, c in out.items() if c}))
+    sums: dict = {}
+    for k, c in out.items():
+        if c:
+            k = canonical_rotation(k)
+            # most classes meet one word; 0 + c would cost a Fraction add
+            sums[k] = sums[k] + c if k in sums else c
+    # decode from a list: a tuple built from an iterator of unknown length
+    # regrows a temporary, and the tuple free lists keep the regrown ones,
+    # which raised the peak RSS of decompose
+    letter = {chr(a): a for a in rule.generators}
+    return NecklaceElement(
+        {Necklace._unchecked([letter[ch] for ch in k]): c for k, c in sums.items() if c}
+    )
 
 
 def _splice(out: dict, a: Word, b: Word, c) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .words import EMPTY_WORD, Letter, Word, canonical_rotation, format_word, parse_word
+from .words import EMPTY_WORD, Letter, Word, _excerpt, canonical_rotation, format_word, parse_word
 
 
 def _coeff(c) -> int | Fraction:
@@ -343,11 +343,6 @@ _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
-def _excerpt(text: str) -> str:
-    """How an error names a literal: its first 24 characters, then "..."."""
-    return text if len(text) <= 24 else f"{text[:24]}..."
-
-
 def _check_digits(text: str, what: str) -> None:
     """Refuse text of more than _MAX_EXPONENT digits, named by its start."""
     if sum(map(str.isdecimal, text)) > _MAX_EXPONENT:
@@ -381,7 +376,7 @@ def parse_element(text: str, alphabet: dict[str, Letter] | None = None) -> FreeE
         body = body.strip()
         coeff = parse_rational(p) if p else 1
         if not body and (star or not p):
-            raise ValueError(f"empty term in {text!r}")
+            raise ValueError(f"empty term in {_excerpt(text)!r}")
         w = parse_word(body, alphabet) if body else EMPTY_WORD
         out[w] = out.get(w, 0) + (-coeff if signs.count("-") % 2 else coeff)
     return FreeElement(out)

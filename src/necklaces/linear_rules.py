@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .brackets import BracketRule, necklace_bracket
-from .elements import Necklace, NecklaceElement, TensorElement, _coeff, parse_rational
+from .elements import Necklace, NecklaceElement, TensorElement, _coeff, _excerpt, parse_rational
 from .elements import format_element
 from .report import CheckReport
 from .words import EMPTY_WORD, Letter, Word, unstarred
@@ -91,23 +91,29 @@ class StructureConstants:
             raise ValueError("a rule file must hold a JSON object")
         dim = data.get("dim")
         if type(dim) is not int:
-            raise ValueError(f'"dim" must be an integer, got {dim!r}')
+            raise ValueError(f'"dim" must be an integer, got {_excerpt(repr(dim))}')
         entries = data.get("a", [])
         if not isinstance(entries, list):
             raise ValueError('"a" must be a list of [i, j, k, value] entries')
         table = {}
         for entry in entries:
             if not isinstance(entry, list) or len(entry) != 4:
-                raise ValueError(f'each entry of "a" must be [i, j, k, value], got {entry!r}')
+                raise ValueError(
+                    f'each entry of "a" must be [i, j, k, value], got {_excerpt(str(entry))}'
+                )
             i, j, k, v = entry
             if any(type(x) is not int for x in (i, j, k)):
-                raise ValueError(f'the indices of entry {entry!r} of "a" must be integers')
+                raise ValueError(
+                    f'the indices of entry {_excerpt(str(entry))} of "a" must be integers'
+                )
             try:
                 if isinstance(v, bool):  # Fraction(True) would read as 1
                     raise TypeError
                 table[(i, j, k)] = parse_rational(v)
             except (TypeError, OverflowError):
-                raise ValueError(f'the value of entry {entry!r} of "a" is not a number') from None
+                raise ValueError(
+                    f'the value of entry {_excerpt(str(entry))} of "a" is not a number'
+                ) from None
         return cls(dim, table)
 
 

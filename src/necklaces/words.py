@@ -12,9 +12,9 @@ words hash and compare equal as tuples; the Word subclass adds the
 necklace (elements.Necklace) is the word of its least rotation, a Word
 subclass that only prints in parentheses.  canonical_rotation finds that
 rotation as the minimum, compared in C, over the plain-tuple rotations that
-start at the least letter; that is quadratic in the worst case, a long word
-made mostly of its least letter.  x1 is the int 0: no code may test a
-letter's truth value.
+start at the least letter, or over the string rotations of a word's code
+string; that is quadratic in the worst case, a long word made mostly of its
+least letter.  x1 is the int 0: no code may test a letter's truth value.
 """
 
 from __future__ import annotations
@@ -135,25 +135,31 @@ def word(*items) -> Word:
     return Word(out)
 
 
-def canonical_rotation(w: Word) -> Word:
+def canonical_rotation(w):
     """Lexicographically minimal rotation of w under the fixed letter order.
+
+    w is a Word, or the code string of one (each letter as chr(code), see
+    brackets.necklace_bracket), and the result is of the same kind: a Word
+    for a Word, a str for a str.  Code-point order is the letter order, so
+    both kinds give the same rotation.
 
     The least rotation starts at an occurrence of the least letter, so this
     is the minimum over the rotations (w + w)[i:i + n] that start there.
-    The slices are plain tuples of int letters, all of length n, so `min`
-    compares them in C, and tuple order on them is the (length, codes)
-    order.  The cost is quadratic in n when the least letter fills much of
-    the word: at length 181, x1^180 x1* takes about three times as long as
-    Booth's linear-time algorithm and (x1x1x1*)^60 x1* about twice as long.
-    On random words up to length 60, and on the words the bracket kernels
-    canonicalize, it is the faster of the two.
+    The slices are plain tuples of int letters, or strings, all of length
+    n, so `min` compares them in C, and tuple order on them is the
+    (length, codes) order.  The cost is quadratic in n when the least
+    letter fills much of the word: at length 181, x1^180 x1* takes about
+    three times as long as Booth's linear-time algorithm and (x1x1x1*)^60
+    x1* about twice as long.  On random words up to length 60, and on the
+    words the bracket kernels canonicalize, it is the faster of the two.
     """
     n = len(w)
     if n <= 1:
         return w
     least = min(w)
     doubled = w + w
-    return Word(min([doubled[i:i + n] for i, a in enumerate(w) if a == least]))
+    best = min([doubled[i:i + n] for i, a in enumerate(w) if a == least])
+    return best if isinstance(w, str) else Word(best)
 
 
 # --- textual grammar -------------------------------------------------------
@@ -166,6 +172,11 @@ def canonical_rotation(w: Word) -> Word:
 
 _SEPARATORS = r"|1|·|\s+"
 _TOKEN = re.compile(r"x(\d*)(\*?)" + _SEPARATORS)
+
+
+def _excerpt(text: str) -> str:
+    """How an error names a literal: its first 24 characters, then "..."."""
+    return text if len(text) <= 24 else f"{text[:24]}..."
 
 
 def _tokenizer(alphabet: dict[str, Letter] | None) -> re.Pattern:
@@ -186,7 +197,7 @@ def parse_word(text: str, alphabet: dict[str, Letter] | None = None) -> Word:
     while pos < len(text):
         m = token.match(text, pos)
         if m is None:
-            raise ValueError(f"cannot parse word at {text[pos:]!r}")
+            raise ValueError(f"cannot parse word at {_excerpt(text[pos:])!r}")
         name = m.group(1)
         # "1", "·" and whitespace leave the letter group unmatched
         if name is not None:

@@ -54,6 +54,24 @@ def test_rule_generator_values():
     assert double_bracket(CANON2, "x1", "x2*").is_zero
 
 
+def test_rule_rejects_a_value_outside_its_generators():
+    a, b = letters(1)
+    t = TensorElement.of(word("x2"), EMPTY_WORD)
+    with pytest.raises(ValueError, match="outside generator set"):
+        BracketRule(letters(1), {(a, b): t, (b, a): -t.flip()})
+
+
+def test_rule_letters_stop_at_the_last_code_point():
+    """necklace_bracket codes a letter as chr(code); x557056* is 0x10FFFF."""
+    with pytest.raises(ValueError, match="past x557056"):
+        BracketRule([Letter(557057)], {})
+    a, b = Letter(557056), Letter(557056, True)
+    rule = BracketRule([a, b], {(a, b): TensorElement.unit(1), (b, a): TensorElement.unit(-1)})
+    n1, n2 = Necklace.of(Word([a, a])), Necklace.of(Word([b]))
+    got = necklace_bracket(rule, n1, n2)
+    assert got == kontsevich_bracket(n1, n2, 557056) == NecklaceElement.of(Word([a]), 2)
+
+
 def test_rule_rejects_broken_antisymmetry():
     a, b = word("x")[0], word("x*")[0]
     with pytest.raises(ValueError):
@@ -240,6 +258,24 @@ def test_kontsevich_matches_necklace_bracket_exhaustive(d, total):
             ), (n1, n2)
 
 
+def test_kontsevich_matches_necklace_bracket_past_code_point_255():
+    """Letters x129 and up have codes >= 256, outside bytes and latin-1, so
+    a code string that assumed one byte per letter would fail here."""
+    d = 131
+    rule = BracketRule.canonical(d)
+    alpha = [Letter(i, s) for i in (1, 129, 130, 131) for s in (False, True)]
+    assert min(alpha[2:]).code >= 256
+    r = rng(17)
+    nonzero = 0
+    for _ in range(120):
+        n1 = Necklace.of(random_word(r, alpha, 1, 5))
+        n2 = Necklace.of(random_word(r, alpha, 1, 5))
+        got = necklace_bracket(rule, n1, n2)
+        nonzero += bool(got)
+        assert got == kontsevich_bracket(n1, n2, d), (n1, n2)
+    assert nonzero
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_kontsevich_matches_necklace_bracket_on_the_center_path(n):
     """center_check's path: one left element bracketed against every
@@ -356,7 +392,8 @@ def test_necklace_bracket_rejects_foreign_letters(rule):
     "rule", [CANON1, CANON2, ngl(2)], ids=["canonical1", "canonical2", "ngl2"]
 )
 def test_necklace_bracket_keys_are_necklaces(rule):
-    """The kernel sums plain tuples; none may leak into the result."""
+    """The kernel sums code strings; no string, tuple or bare int code may
+    leak into the result."""
     r = rng(11)
     nonzero = 0
     for _ in range(40):
@@ -365,6 +402,7 @@ def test_necklace_bracket_keys_are_necklaces(rule):
         got = necklace_bracket(rule, e1, e2)
         nonzero += bool(got)
         assert all(type(k) is Necklace for k in got.terms)
+        assert all(type(a) is Letter for k in got.terms for a in k)
     assert nonzero
 
 

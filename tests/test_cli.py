@@ -244,6 +244,11 @@ BAD_RULE_FILES = {
     "boolean_value.json": '{"dim": 1, "a": [[1, 1, 1, true]]}',
     "huge_exponent.json": '{"dim": 1, "a": [[1, 1, 1, 1e5000]]}',
     "long_integer.json": '{"dim": 1, "a": [[1, 1, 1, %s]]}' % LONG,
+    # a "dim" and entries of 2,000 items, each error must name only their start
+    "long_dim.json": '{"dim": [%s], "a": []}' % ", ".join(["1"] * 2000),
+    "long_entry.json": '{"dim": 1, "a": [[%s]]}' % ", ".join(["1"] * 2000),
+    "long_index.json": '{"dim": 1, "a": [[[%s], 1, 1, "1"]]}' % ", ".join(["1"] * 2000),
+    "long_value.json": '{"dim": 1, "a": [[1, 1, 1, [%s]]]}' % ", ".join(["1"] * 2000),
 }
 
 
@@ -293,6 +298,12 @@ BAD_RULE_FILES = {
         ["classify", "1", "2", "3", "4", "1e" + "9" * 5000],
         ["classify", *[HUGE] * 5],
         ["classify", "x" * 5000, "0", "0", "0", "0"],
+        ["bracket", "x" * 5000 + " +", "x"],
+        ["bracket", "x" + "q" * 3000, "x"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/long_dim.json"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/long_entry.json"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/long_index.json"],
+        ["bracket", "x1", "x1", "--rule", "{tmp}/long_value.json"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):

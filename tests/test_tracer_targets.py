@@ -50,3 +50,21 @@ def test_cli_import_loads_the_traced_modules_and_not_dataclasses():
     assert "dataclasses" not in loaded and "inspect" not in loaded
     traced = {f"necklaces.{t[1]}" for t in _targets()}
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_necklace_bracket_canonicalizes_through_its_module_binding(monkeypatch):
+    """install() counts canonical rotations by rebinding canonical_rotation
+    in every necklaces module that binds it.  The necklace bracket must call
+    it through the binding in brackets, or the traced
+    words.canonical_rotation metrics on center read 0."""
+    brackets = importlib.import_module("necklaces.brackets")
+    original = brackets.canonical_rotation
+    calls = []
+
+    def wrapper(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(brackets, "canonical_rotation", wrapper)
+    assert brackets.center_check(2, 2, 4).ok
+    assert calls

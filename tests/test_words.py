@@ -172,17 +172,32 @@ def test_canonical_rotation_exhaustive_short_words():
     assert count == 21845
 
 
-def test_canonical_rotation_long_periodic_words():
+def long_periodic_words():
     # many occurrences of the least letter, the routine's worst case
     x, xs = Letter(1), Letter(1, True)
     for k in range(1, 61):
-        for w in (
-            Word([x] * k + [xs]),
-            Word([x] * k),
-            Word([x, xs] * k),
-            Word([x, x, xs] * k + [xs]),
-        ):
-            assert canonical_rotation(w) == brute_minimal_rotation(w)
+        yield Word([x] * k + [xs])
+        yield Word([x] * k)
+        yield Word([x, xs] * k)
+        yield Word([x, x, xs] * k + [xs])
+
+
+def test_canonical_rotation_long_periodic_words():
+    for w in long_periodic_words():
+        assert canonical_rotation(w) == brute_minimal_rotation(w)
+
+
+def code(w) -> str:
+    return "".join(chr(a.code) for a in w)
+
+
+def test_canonical_rotation_of_a_code_string_is_the_code_of_the_word_rotation():
+    # the necklace bracket canonicalizes words as strings, one chr(code) per
+    # letter; a str comes back, and it must code the Word's rotation
+    short = (Word(t) for n in range(8) for t in itertools.product(letters(2), repeat=n))
+    for w in itertools.chain(short, long_periodic_words()):
+        c = canonical_rotation(code(w))
+        assert type(c) is str and c == code(canonical_rotation(w))
 
 
 def test_necklace_of_a_plain_tuple_matches_the_word():
