@@ -21,17 +21,20 @@ center check, a against every term of {{b, c}} in a double Jacobi check.
 _open checks the letters of each term it opens, so a kept opening is not
 checked again, and each walk checks each word of the second argument.
 
-necklace_bracket never builds a free-algebra element: it sums its collapsed
-words as code strings, one character chr(code) per letter, canonicalizes
-each nonzero sum with words.canonical_rotation, and decodes into Letters
-only the necklaces whose sums stay nonzero.  A code must be a code point,
-so a rule's letters stop at x557056.
+necklace_bracket reads the kept opening through its necklace view
+(_necklace_view), merged integer rows of code strings, one character
+chr(code) per letter.  It never builds a free-algebra element: it sums its
+collapsed words as code strings in int and decodes into Letters only the
+necklaces whose sums stay nonzero.  A code must be a code point, so a
+rule's letters stop at x557056.
 """
 
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .counting import enumerate_necklaces
 from .elements import (
@@ -46,7 +49,7 @@ from .elements import (
     project_to_necklace,
 )
 from .report import CheckReport
-from .words import Letter, Word, canonical_rotation, letters
+from .words import Letter, Word, canonical_rotation
 
 
 class BracketRule:
@@ -94,10 +97,18 @@ class BracketRule:
 
     @classmethod
     def canonical(cls, d: int) -> "BracketRule":
-        """{{x_i, x_i*}} = 1 (x) 1, all other generator pairs zero."""
-        gens = letters(d)
+        """{{x_i, x_i*}} = 1 (x) 1, all other generator pairs zero, on x1..xd."""
+        return cls.canonical_on(range(1, d + 1))
+
+    @classmethod
+    def canonical_on(cls, indices) -> "BracketRule":
+        """The canonical rule on the letters x_i, x_i* of the given indices
+        alone; it brackets elements in those letters as canonical(d) does
+        for every d at or above their largest index."""
+        indices = sorted(set(indices))
+        gens = tuple(Letter(i, starred) for i in indices for starred in (False, True))
         table = {}
-        for i in range(1, d + 1):
+        for i in indices:
             xi, xis = Letter(i), Letter(i, True)
             table[(xi, xis)] = TensorElement.unit(1)
             table[(xis, xi)] = TensorElement.unit(-1)
@@ -112,17 +123,24 @@ class BracketRule:
             raise ValueError(f"letter {a.name} is not a generator of this rule")
 
 
+class _Opening(dict):
+    """partner letter -> rows (see _open), with its necklace view, None until
+    _necklace_view builds it."""
+
+    __slots__ = ("necklace",)
+
+
 @lru_cache(maxsize=1)
-def _open(rule: BracketRule, e) -> dict:
+def _open(rule: BracketRule, e) -> _Opening:
     """e opened at each letter a_p, once per term u (x) v of each partner b_q:
-    b_q -> ((w, c_a * c, cut, code), ...) with w = u . a_>p . a_<p . v,
-    cut = len(u . a_>p) and code the code string of w (see necklace_bracket).
+    b_q -> ((w, c_a * c, cut), ...) with w = u . a_>p . a_<p . v and
+    cut = len(u . a_>p).
 
     Each term's letters are checked as it is opened.  Kept for the last
-    (rule, e), the rule by identity and e by content; elements are immutable
-    and the walks only read the rows.
+    (rule, e), the rule by identity and e by content, together with its
+    necklace view; elements are immutable and the walks only read the rows.
     """
-    opened: dict = {}
+    opened = _Opening()
     for a, ca in e.terms.items():
         rule.check_letters(a)
         for p, ap in enumerate(a):
@@ -131,8 +149,38 @@ def _open(rule: BracketRule, e) -> dict:
                 row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
                     w = u + rest + v
-                    row.append((w, ca * c, len(u) + after, "".join(map(chr, w))))
-    return {partner: tuple(row) for partner, row in opened.items()}
+                    row.append((w, ca * c, len(u) + after))
+    for partner, row in opened.items():
+        opened[partner] = tuple(row)
+    opened.necklace = None
+    return opened
+
+
+def _necklace_view(rule: BracketRule, opened: _Opening) -> tuple:
+    """The opening as necklace_bracket reads it, built once per opening:
+    (rows, den, decode).  rows maps each partner letter to its words as
+    code strings (see necklace_bracket), merged by string, with their
+    coefficients summed, the zero sums dropped and the rest cleared to
+    integers over the one common denominator den; decode maps each
+    generator's character back to its Letter."""
+    view = opened.necklace
+    if view is None:
+        merged = {}
+        for partner, row in opened.items():
+            sums: dict = {}
+            for w, c, _ in row:
+                k = "".join(map(chr, w))
+                sums[k] = sums.get(k, 0) + c
+            merged[partner] = [(k, c) for k, c in sums.items() if c]
+        # an int is its own numerator over the denominator 1
+        den = lcm(*(c.denominator for row in merged.values() for _, c in row))
+        rows = {
+            partner: tuple([(k, c.numerator * (den // c.denominator)) for k, c in row])
+            for partner, row in merged.items()
+            if row
+        }
+        view = opened.necklace = (rows, den, {chr(a): a for a in rule.generators})
+    return view
 
 
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:
@@ -147,7 +195,7 @@ def double_bracket(rule: BracketRule, a, b) -> TensorElement:
             row = opened.get(bq)
             if row:
                 head, tail = wb[:q], wb[q + 1:]
-                for w, c, cut, _ in row:
+                for w, c, cut in row:
                     key = (Word(head + w[:cut]), Word(w[cut:] + tail))
                     out[key] = out.get(key, 0) + c * cb
     return TensorElement(out)
@@ -167,39 +215,44 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
 
     Each term u (x) v of {{a_p, b_q}} for representatives a, b collapses to
     the word b_<q . u . a_>p . a_<p . v . b_>q.  These are summed over all
-    representative pairs first, and only the nonzero sums are canonicalized
-    and summed by necklace: many collapsed words cancel before that.
+    representative pairs first, as integers over one common denominator,
+    and only the nonzero sums are canonicalized, summed by necklace and
+    divided by the denominator: many collapsed words cancel before that.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    opened = _open(rule, e1)
-    # words as code strings, one character chr(code) per letter: code-point
-    # order is the letter order, a str caches its hash and slices and joins
-    # in C; only the necklaces of nonzero sums are decoded into Letters
+    rows, den, decode = _necklace_view(rule, _open(rule, e1))
+    # e2's coefficients over one common denominator too, so the sums stay in
+    # int; its words become code strings, as the view's rows are
+    den2 = lcm(*(c.denominator for c in e2.terms.values()))
     out: dict = {}
     for n, c2 in e2.terms.items():
         rule.check_letters(n)
+        c2 = c2.numerator * (den2 // c2.denominator)
         code = "".join(map(chr, n))
         for q, bq in enumerate(n):
-            row = opened.get(bq)
+            row = rows.get(bq)
             if row:
                 head, tail = code[:q], code[q + 1:]
-                for _, c, _, middle in row:
+                for middle, c in row:
                     k = head + middle + tail
                     out[k] = out.get(k, 0) + c * c2
     sums: dict = {}
     for k, c in out.items():
         if c:
             k = canonical_rotation(k)
-            # most classes meet one word; 0 + c would cost a Fraction add
-            sums[k] = sums[k] + c if k in sums else c
+            sums[k] = sums.get(k, 0) + c
+    den *= den2
     # decode from a list: a tuple built from an iterator of unknown length
     # regrows a temporary, and the tuple free lists keep the regrown ones,
     # which raised the peak RSS of decompose
-    letter = {chr(a): a for a in rule.generators}
     return NecklaceElement(
-        {Necklace._unchecked([letter[ch] for ch in k]): c for k, c in sums.items() if c}
+        {
+            Necklace._unchecked([decode[ch] for ch in k]): c if den == 1 else Fraction(c, den)
+            for k, c in sums.items()
+            if c
+        }
     )
 
 

@@ -142,9 +142,11 @@ def cmd_bracket(args):
     alphabet = {v: k for k, v in names.items()} if names else None
     e1, e2 = (project_to_necklace(parse_element(w, alphabet)) for w in (args.w1, args.w2))
     if canonical:
-        # the canonical bracket of elements in x1..xk is the same for every d >= k
-        d = max((n.max_index() for e in (e1, e2) for n in e.terms), default=1)
-        rule = BracketRule.canonical(d)
+        # the canonical bracket of two elements reads only the letter pairs
+        # they use, so the rule holds those alone, whatever their indices
+        used = {a.index for e in (e1, e2) for n in e.terms for a in n}
+        d = max(used, default=1)
+        rule = BracketRule.canonical_on(used)
     result = necklace_bracket(rule, e1, e2)
     payload = {"bracket": _necklace_element_json(result, names)}
     text = [f"bracket: {payload['bracket']['text']}"]

@@ -1,5 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
+A row is a SparseRow, its width and its nonzero entries {column: value},
+or a dense sequence of values; a plain dict is refused.  The package's own
+callers build SparseRows, so no dense row is formed on the way in.
+
 One kernel serves rank and solve: each row is cleared of denominators to a
 primitive integer row, stored sparse as {column: int}, and reduced
 fraction-free against the pivot rows found so far.  A row leads at its
@@ -20,30 +24,54 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _integer_row(values) -> dict[int, int]:
-    """The nonzero entries of a row, scaled to coprime integers."""
-    row = {c: Fraction(v) for c, v in enumerate(values) if v}
+class SparseRow:
+    """A row of `width` columns, stored as its nonzero entries {column: value}.
+
+    len() is the width and iteration yields the dense values, so a reader of
+    dense rows reads it unchanged; the elimination reads the entries alone.
+    """
+
+    __slots__ = ("width", "entries")
+
+    def __init__(self, width: int, entries: dict):
+        self.width, self.entries = width, entries
+
+    def __len__(self):
+        return self.width
+
+    def __iter__(self):
+        get = self.entries.get
+        return (get(c, 0) for c in range(self.width))
+
+
+def _entries(row):
+    """(column, value) pairs of a SparseRow or a dense sequence of values; a
+    dict is refused, as enumerating it reads its keys."""
+    if isinstance(row, SparseRow):
+        return row.entries.items()
+    if isinstance(row, dict):
+        raise TypeError("a row is a SparseRow or a dense sequence of values, not a dict")
+    return enumerate(row)
+
+
+def _integer_row(entries) -> dict[int, int]:
+    """The nonzero entries, (column, value) pairs, scaled to coprime integers."""
+    row = {c: v if type(v) is int else Fraction(v) for c, v in entries if v}
     scale = lcm(*(v.denominator for v in row.values()))
     return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
 
 
-def _dense(row):
-    """The row itself; a dict is refused, as enumerating it reads its keys."""
-    if isinstance(row, dict):
-        raise TypeError("a row is a dense sequence of values, not a dict")
-    return row
-
-
 def _eliminate(rows) -> dict[int, dict[int, int]]:
-    """Echelon form of the rows, as pivot rows keyed by leading column, the
-    highest column with a nonzero entry.
+    """Echelon form of the rows, each given as its (column, value) pairs, as
+    pivot rows keyed by leading column, the highest column with a nonzero
+    entry.
 
     Each row is reduced by row = a*row - b*pivot at its leading column until
     that column has no pivot yet (it becomes one) or the row vanishes.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for values in rows:
-        row = _integer_row(values)
+    for entries in rows:
+        row = _integer_row(entries)
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -64,13 +92,15 @@ def _eliminate(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    """Rank by fraction-free sparse elimination with exact arithmetic."""
-    return len(_eliminate(map(_dense, rows)))
+def rank(rows: list) -> int:
+    """Rank of SparseRows or dense rows by fraction-free sparse elimination
+    with exact arithmetic."""
+    return len(_eliminate(map(_entries, rows)))
 
 
-def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b where a solution, if any, is unique (full column rank).
+def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
+    """Solve A x = b where a solution, if any, is unique (full column rank);
+    the rows of A are SparseRows or dense rows.
 
     Returns None if the system is inconsistent; raises if the solution is
     not unique.
@@ -78,7 +108,9 @@ def solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     ncols = len(a[0]) if a else 0
     # b is column 0, below the unknowns 1..ncols, so it leads only in a row
     # that reads 0 = nonzero
-    pivots = _eliminate([bi, *_dense(row)] for row, bi in zip(a, b, strict=True))
+    pivots = _eliminate(
+        [(0, bi), *((c + 1, v) for c, v in _entries(row))] for row, bi in zip(a, b, strict=True)
+    )
     if 0 in pivots:
         return None
     if len(pivots) < ncols:

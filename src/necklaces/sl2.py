@@ -119,10 +119,7 @@ def _e_action_rank(rule, E, source: list[Necklace], target: list[Necklace]) -> i
     rows = []
     for neck in source:
         image = necklace_bracket(rule, E, NecklaceElement.of(neck))
-        row = [Fraction(0)] * len(target)
-        for out, c in image.terms.items():
-            row[index[out]] = c
-        rows.append(row)
+        rows.append(linalg.SparseRow(len(target), {index[out]: c for out, c in image.terms.items()}))
     return linalg.rank(rows)
 
 

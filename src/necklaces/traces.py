@@ -122,9 +122,15 @@ def express_in_trace_generators(e) -> Polynomial:
     gens = generator_polynomials()
     evaluated = [Polynomial({m: 1}).substitute(gens) for m in monomials]
     target = trace_of(e, _mats2())
-    rows = sorted({m for p in (target, *evaluated) for m in p.terms})
+    # one equation per monomial of the 8 indeterminates: its entries are the
+    # monomial's coefficients in the evaluated generator monomials
+    entries: dict = {m: {} for m in target.terms}
+    for j, p in enumerate(evaluated):
+        for m, v in p.terms.items():
+            entries.setdefault(m, {})[j] = v
+    rows = sorted(entries)
     solution = linalg.solve_unique(
-        [[p.terms.get(m, 0) for p in evaluated] for m in rows],
+        [linalg.SparseRow(len(evaluated), entries[m]) for m in rows],
         [target.terms.get(m, 0) for m in rows],
     )
     if solution is None:

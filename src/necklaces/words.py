@@ -11,10 +11,11 @@ words hash and compare equal as tuples; the Word subclass adds the
 (length, codes) order, concatenation by `*` and the printed form.  A
 necklace (elements.Necklace) is the word of its least rotation, a Word
 subclass that only prints in parentheses.  canonical_rotation finds that
-rotation as the minimum, compared in C, over the plain-tuple rotations that
-start at the least letter, or over the string rotations of a word's code
-string; that is quadratic in the worst case, a long word made mostly of its
-least letter.  x1 is the int 0: no code may test a letter's truth value.
+rotation as the least, compared in C, of the plain-tuple rotations that
+start at the least letter, or of the string rotations of a word's code
+string, with one implementation for both; that is quadratic in the worst
+case, a long word made mostly of its least letter.  x1 is the int 0: no
+code may test a letter's truth value.
 """
 
 from __future__ import annotations
@@ -144,21 +145,29 @@ def canonical_rotation(w):
     both kinds give the same rotation.
 
     The least rotation starts at an occurrence of the least letter, so this
-    is the minimum over the rotations (w + w)[i:i + n] that start there.
-    The slices are plain tuples of int letters, or strings, all of length
-    n, so `min` compares them in C, and tuple order on them is the
-    (length, codes) order.  The cost is quadratic in n when the least
-    letter fills much of the word: at length 181, x1^180 x1* takes about
-    three times as long as Booth's linear-time algorithm and (x1x1x1*)^60
-    x1* about twice as long.  On random words up to length 60, and on the
-    words the bracket kernels canonicalize, it is the faster of the two.
+    is the least of the rotations (w + w)[i:i + n] that start there; `index`
+    and `count`, which both kinds have, find those starts in C.  The slices
+    are plain tuples of int letters, or strings, all of length n, so they
+    compare in C, and tuple order on them is the (length, codes) order.
+    The cost is quadratic in n when the least letter fills much of the
+    word: at length 181, x1^180 x1* as a Word takes about four times as
+    long as Booth's linear-time algorithm, and (x1x1x1*)^60 x1* about two
+    and a half times; as code strings both take less time than Booth's.
+    On random words up to length 60, and on the words the bracket kernels
+    canonicalize, it is the faster of the two in both kinds.
     """
     n = len(w)
     if n <= 1:
         return w
     least = min(w)
+    i = w.index(least)
     doubled = w + w
-    best = min([doubled[i:i + n] for i, a in enumerate(w) if a == least])
+    best = doubled[i:i + n]
+    for _ in range(w.count(least) - 1):
+        i = w.index(least, i + 1)
+        rotation = doubled[i:i + n]
+        if rotation < best:
+            best = rotation
     return best if isinstance(w, str) else Word(best)
 
 

@@ -6,6 +6,7 @@ import pytest
 from necklaces.brackets import (
     BracketRule,
     _left_extend,
+    _necklace_view,
     _open,
     center_check,
     center_element,
@@ -287,6 +288,73 @@ def test_kontsevich_matches_necklace_bracket_on_the_center_path(n):
         for m in necks:
             assert necklace_bracket(CANON2, left, m) == kontsevich_bracket(left, m, 2), (left, m)
 
+
+
+def test_kontsevich_matches_necklace_bracket_over_coprime_denominators():
+    """The kernel sums integers over one common denominator per side: the
+    left one cleared once in its opening's view, the right one per call.
+    Coprime denominators on both sides make every product denominator
+    distinct, so a wrong scale or a missed division shows."""
+    r = rng(23)
+    alpha = letters(2)
+    nonzero = 0
+    for _ in range(60):
+        e1, e2 = (
+            NecklaceElement({Necklace.of(random_word(r, alpha, 1, 4)): Fraction(r.randint(1, 9), den) for den in dens})
+            for dens in ((2, 3, 4), (5, 7, 9))
+        )
+        got = necklace_bracket(CANON2, e1, e2)
+        nonzero += bool(got)
+        assert got == kontsevich_bracket(e1, e2, 2), (e1, e2)
+    assert nonzero > 30
+
+
+def test_integral_coefficients_are_stored_as_int():
+    """A sum over a common denominator that divides out is an int, not a
+    Fraction with denominator 1."""
+    e, f = NecklaceElement.of("x*x*", Fraction(1, 2)), NecklaceElement.of("xx", Fraction(-1, 2))
+    h = necklace_bracket(CANON1, e, f)
+    assert h.terms == {Necklace.of("xx*"): 1} and type(h.terms[Necklace.of("xx*")]) is int
+    r = rng(29)
+    fractional = integral = 0
+    for _ in range(60):
+        e1 = _sampled_necklace_element(r, letters(1))
+        e2 = _sampled_necklace_element(r, letters(1))
+        for c in necklace_bracket(CANON1, e1, e2).terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+            integral += type(c) is int
+            fractional += type(c) is Fraction
+    assert integral and fractional
+
+
+def test_an_ngl_opening_that_merges_rows():
+    """Under ngl(2), e11e11 opens at both positions into the same words, and
+    {{e11, e11}} = e11 (x) 1 - 1 (x) e11 makes some of them cancel: the
+    necklace view keeps fewer rows than the opening, as integers over one
+    denominator, and the bracket still equals the projected Loday bracket
+    of representatives."""
+    rule = ngl(2)
+    e11, e12, e21 = (Letter(k) for k in (1, 2, 3))
+    left = NecklaceElement({
+        Necklace.of(Word([e11, e11])): Fraction(1, 2),
+        Necklace.of(Word([e12, e21])): Fraction(-2, 3),
+        Necklace.of(Word([e11, e12, e21])): 5,
+    })
+    _open.cache_clear()
+    opened = _open(rule, left)
+    rows, den, decode = _necklace_view(rule, opened)
+    assert sum(map(len, rows.values())) < sum(map(len, opened.values()))
+    # e11e11's two openings sum its 1/2 to whole numbers, so only the 3 is left
+    assert den == 3 and all(type(c) is int for row in rows.values() for _, c in row)
+    assert _necklace_view(rule, opened) is _necklace_view(rule, _open(rule, left))
+    assert set(decode.values()) == set(rule.generators)
+    r = rng(31)
+    rights = [_sampled_necklace_element(r, rule.generators) for _ in range(40)]
+    wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
+    assert sum(map(bool, wants)) > 20
+    _open.cache_clear()
+    assert [necklace_bracket(rule, left, e) for e in rights] == wants
+    assert _open.cache_info().misses == 1
 
 def test_double_jacobi_examples():
     assert verify_double_jacobi(CANON1, "x", "x*", "x").is_zero

@@ -48,6 +48,23 @@ def test_bracket_elements_and_d2(capsys):
     assert data["bracket"]["terms"] == [["2", "1"]]
 
 
+def test_bracket_rule_holds_only_the_letters_used(capsys, monkeypatch):
+    """The canonical rule of a bracket is built over the letter pairs its
+    elements use, not over x1..xk for k their largest index."""
+    seen = []
+    real = cli.necklace_bracket
+    monkeypatch.setattr(cli, "necklace_bracket", lambda rule, a, b: seen.append(rule) or real(rule, a, b))
+    code, out = run(capsys, "bracket", "x100000", "x100000*", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["agree"] is True and data["bracket"]["terms"] == [["1", "1"]]
+    assert [rule.generators for rule in seen] == [word("x100000x100000*")]
+    assert len(seen[0].table) == 2
+    code, out = run(capsys, "bracket", "x3x3* + x1", "x7*", "--format", "json")
+    assert code == 0 and json.loads(out)["agree"] is True
+    assert seen[1].generators == word("x1x1*x3x3*x7x7*")
+
+
 def test_bracket_ngl_rule(capsys):
     code, out = run(capsys, "bracket", "e12", "e21", "--rule", "ngl:2")
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces.linalg import rank, solve_unique
+from necklaces.linalg import SparseRow, rank, solve_unique
 
 
 def test_rank_empty_matrices():
@@ -156,3 +156,64 @@ def test_solve_unique_rank_deficient_systems_raise(seed):
     b = matvec(a, [random_entry(rng) for _ in range(ncols)])
     with pytest.raises(ValueError):
         solve_unique(a, b)
+
+
+# --- SparseRow: the same rows, stored as their nonzero entries ---------------
+
+
+def sparse(row) -> SparseRow:
+    return SparseRow(len(row), {c: v for c, v in enumerate(row) if v})
+
+
+def test_sparse_row_reads_as_its_dense_form():
+    # len is the width and iteration the dense values, as a reader of dense
+    # rows (the benchmark tracer counts cells and nonzeros so) expects
+    rng = random.Random(500)
+    for width in range(8):
+        dense = [random_entry(rng) for _ in range(width)]
+        row = sparse(dense)
+        assert len(row) == width and list(row) == dense
+        assert list(row) == list(row)  # iterating twice reads the same values
+    assert len(SparseRow(5, {})) == 5 and list(SparseRow(5, {})) == [0] * 5
+
+
+class EntriesOnly(SparseRow):
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("the dense values of a SparseRow were read")
+
+
+def test_elimination_reads_only_the_entries():
+    # a wide row costs its nonzero entries, not its width
+    rows = [EntriesOnly(10**9, {5: 1, 10**9 - 1: Fraction(1, 3)}), EntriesOnly(10**9, {5: 2})]
+    assert rank(rows) == 2
+    assert solve_unique([EntriesOnly(2, {0: 1}), EntriesOnly(2, {1: 2})], [3, 4]) == [3, 2]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_rows_match_dense_oracle(seed):
+    rng = random.Random(600 + seed)
+    nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+    rows = random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+    assert rank([sparse(row) for row in rows]) == dense_rank(rows)
+    # a mix of both kinds is one matrix
+    assert rank([sparse(row) if i % 2 else row for i, row in enumerate(rows)]) == dense_rank(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_unique_on_sparse_rows(seed):
+    rng = random.Random(700 + seed)
+    ncols = rng.randint(1, 8)
+    a = random_matrix(rng, ncols + rng.randint(0, 4), ncols, ncols)
+    while dense_rank(a) < ncols:
+        a = random_matrix(rng, len(a), ncols, ncols)
+    x = [random_entry(rng) for _ in range(ncols)]
+    b = matvec(a, x)
+    assert solve_unique([sparse(row) for row in a], b) == x
+    # inconsistent: b plus a vector outside the column space, if one exists
+    for i in range(len(b)):
+        bad = b[:i] + [b[i] + 1] + b[i + 1:]
+        if dense_rank([row + [v] for row, v in zip(a, bad)]) > dense_rank(a):
+            assert solve_unique([sparse(row) for row in a], bad) is None
+            break

@@ -200,6 +200,18 @@ def test_canonical_rotation_of_a_code_string_is_the_code_of_the_word_rotation():
         assert type(c) is str and c == code(canonical_rotation(w))
 
 
+def test_canonical_rotation_worst_case_shapes_in_both_kinds():
+    # the shapes the docstring times: the least letter fills the word, so
+    # every one of its occurrences starts a candidate rotation
+    x, xs = Letter(1), Letter(1, True)
+    for w in (Word([x] * 180 + [xs]), Word([x, x, xs] * 60 + [xs])):
+        want = min(tuple(r) for r in w.rotations())
+        got = canonical_rotation(w)
+        assert type(got) is Word and tuple(got) == want
+        got = canonical_rotation(code(w))
+        assert type(got) is str and got == code(want)
+
+
 def test_necklace_of_a_plain_tuple_matches_the_word():
     for n in range(6):
         for t in itertools.product(letters(2), repeat=n):
