@@ -26,7 +26,9 @@ necklace_bracket reads the kept opening through its necklace view
 chr(code) per letter.  It never builds a free-algebra element: it sums its
 collapsed words as code strings in int and decodes into Letters only the
 necklaces whose sums stay nonzero.  A code must be a code point, so a
-rule's letters stop at x557056.
+rule's letters stop at x557056.  {c_n, -} acts as a commutator with a
+fixed element, so its collapsed words cancel from each position to the
+next, and from the last back to the first, keyed as one string there.
 """
 
 from __future__ import annotations
@@ -218,6 +220,11 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     representative pairs first, as integers over one common denominator,
     and only the nonzero sums are canonicalized, summed by necklace and
     divided by the denominator: many collapsed words cancel before that.
+
+    Keyed from the first letter of b, the words break only the link from
+    the last position back to 0.  So at the last position only, a word whose
+    middle u . a_>p . a_<p . v begins with b_q is keyed from after that
+    letter, and meets the same word from q = 0 as the same string.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
@@ -231,13 +238,22 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
         rule.check_letters(n)
         c2 = c2.numerator * (den2 // c2.denominator)
         code = "".join(map(chr, n))
+        last = len(code) - 1
         for q, bq in enumerate(n):
             row = rows.get(bq)
             if row:
-                head, tail = code[:q], code[q + 1:]
-                for middle, c in row:
-                    k = head + middle + tail
-                    out[k] = out.get(k, 0) + c * c2
+                head = code[:q]
+                if q < last:
+                    tail = code[q + 1:]
+                    for middle, c in row:
+                        k = head + middle + tail
+                        out[k] = out.get(k, 0) + c * c2
+                else:
+                    # code . middle[1:], keyed to meet q = 0 (see above)
+                    ch = code[q]
+                    for middle, c in row:
+                        k = middle[1:] + code if middle[:1] == ch else head + middle
+                        out[k] = out.get(k, 0) + c * c2
     sums: dict = {}
     for k, c in out.items():
         if c:

@@ -56,9 +56,7 @@ def necklace_dimension(d: int, k: int) -> int:
         raise ValueError("need d >= 1 and k >= 0")
     if k == 0:
         return 1  # the unit necklace; convention documented here
-    total = sum((2 * d) ** gcd(k, i) for i in range(1, k + 1))
-    assert total % k == 0
-    return total // k
+    return _exact_quotient(sum((2 * d) ** gcd(k, i) for i in range(1, k + 1)), k)
 
 
 def lyndon_count(length: int, marked: int) -> int:
@@ -73,8 +71,16 @@ def lyndon_count(length: int, marked: int) -> int:
     total = 0
     for k in divisors(gcd(length, marked)):
         total += mobius(k) * binomial(length // k, marked // k)
-    assert total % length == 0
-    return total // length
+    return _exact_quotient(total, length)
+
+
+def _exact_quotient(total: int, k: int) -> int:
+    """total / k for the counting sums, which k divides; a remainder is a
+    broken formula, refused rather than floored."""
+    quotient, remainder = divmod(total, k)
+    if remainder:
+        raise ArithmeticError(f"sum {total} is not divisible by {k}")
+    return quotient
 
 
 def binary_necklace_count(n: int, m: int) -> int:

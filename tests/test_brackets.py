@@ -28,7 +28,7 @@ from necklaces.elements import (
     parse_element,
     project_to_necklace,
 )
-from necklaces.linear_rules import ngl
+from necklaces.linear_rules import StructureConstants, linear_rule, ngl
 from necklaces.sampling import random_word, rng
 from necklaces.words import EMPTY_WORD, Letter, Word, letters, word
 
@@ -281,12 +281,20 @@ def test_kontsevich_matches_necklace_bracket_past_code_point_255():
 def test_kontsevich_matches_necklace_bracket_on_the_center_path(n):
     """center_check's path: one left element bracketed against every
     necklace in turn, so every call after the first reuses its opening.
-    c_n gives zero throughout; c_n + (x1x2*) is not central."""
-    necks = [m for k in range(5) for m in enumerate_necklaces(2, k)]
-    cn = center_element(2, n)
-    for left in (cn, cn + NecklaceElement.of("x1x2*")):
-        for m in necks:
-            assert necklace_bracket(CANON2, left, m) == kontsevich_bracket(left, m, 2), (left, m)
+    c_n gives zero throughout, also on the necklaces of length 1, whose
+    first position is its last; c_n + (x1 xd*) is not central, and its
+    nonzero brackets must come out whole whichever way a word is keyed."""
+    for d, top in ((1, 6), (2, 4), (3, 3)):
+        rule = BracketRule.canonical(d)
+        necks = [m for k in range(top + 1) for m in enumerate_necklaces(d, k)]
+        cn = center_element(d, n)
+        noncentral = cn + NecklaceElement.of(Word([Letter(1), Letter(d, True)]))
+        for left, central in ((cn, True), (noncentral, False)):
+            got = [necklace_bracket(rule, left, m) for m in necks]
+            assert got == [kontsevich_bracket(left, m, d) for m in necks], (d, left)
+            assert not any(got) if central else sum(map(bool, got)) > len(necks) // 2, (d, left)
+            # the one-letter necklaces: all zero against c_n only
+            assert any(got[1:1 + 2 * d]) != central, (d, left)
 
 
 
@@ -355,6 +363,35 @@ def test_an_ngl_opening_that_merges_rows():
     _open.cache_clear()
     assert [necklace_bracket(rule, left, e) for e in rights] == wants
     assert _open.cache_info().misses == 1
+
+
+# upper triangular 2x2 matrices on x1 = e11, x2 = e12, x3 = e22
+UPPER_TRIANGULAR = '{"dim": 3, "a": [[1, 1, 1, "1"], [1, 2, 2, "1"], [2, 3, 2, "1"], [3, 3, 3, "1"]]}'
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ngl(2), linear_rule(StructureConstants.from_json(UPPER_TRIANGULAR))],
+    ids=["ngl2", "json_upper_triangular"],
+)
+def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket(rule):
+    """Under both rules {{e11, e12}} has the term e12 (x) 1, as e11 e12 = e12,
+    so (e11 e12) opens at e11 into a word that begins with the letter e12
+    it replaces; at the last position of the right-hand word the kernel
+    keys such words from the other end.  The bracket still equals the
+    projected Loday bracket of representatives, against one-letter
+    necklaces too, whose one position is the last."""
+    r = rng(37)
+    gens = rule.generators  # e11, e12, ... as x1, x2, ...
+    singles = [NecklaceElement.of(Word([g])) for g in gens]
+    left = _sampled_necklace_element(r, gens) + NecklaceElement.of(Word(gens[:2]))
+    rows, _, _ = _necklace_view(rule, _open(rule, left))
+    assert any(k[:1] == chr(partner) for partner, row in rows.items() for k, _ in row)
+    rights = singles + [_sampled_necklace_element(r, gens) for _ in range(30)]
+    wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
+    assert sum(map(bool, wants)) > 15 and any(wants[:len(singles)])
+    assert [necklace_bracket(rule, left, e) for e in rights] == wants
+
 
 def test_double_jacobi_examples():
     assert verify_double_jacobi(CANON1, "x", "x*", "x").is_zero

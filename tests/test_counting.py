@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+from necklaces import counting
 from necklaces.counting import (
     binary_necklace_count,
     binomial,
@@ -93,6 +96,17 @@ def test_lyndon_count_examples_and_oracle():
     for length in range(1, 9):
         for marked in range(0, length + 1):
             assert lyndon_count(length, marked) == brute_aperiodic_binary(length, marked)
+
+
+def test_a_counting_sum_with_a_remainder_is_refused(monkeypatch):
+    """The formulas divide sums that k divides; with a broken term the
+    remainder raises, under python -O too, instead of being floored."""
+    monkeypatch.setattr(counting, "mobius", lambda k: 1)  # C(3, 0) + C(1, 0) = 2
+    with pytest.raises(ArithmeticError, match="sum 2 is not divisible by 3"):
+        lyndon_count(3, 0)
+    monkeypatch.setattr(counting, "gcd", lambda k, i: i)  # 2 + 4 + 8 = 14
+    with pytest.raises(ArithmeticError, match="sum 14 is not divisible by 3"):
+        necklace_dimension(1, 3)
 
 
 def test_periodic_completion_identity():

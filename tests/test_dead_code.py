@@ -1,7 +1,8 @@
 """No dead code: every module under src/necklaces (but the re-exporting
 __init__.py) uses each name it imports, and every module-level _private
 function, class or constant is referenced somewhere in the package; the
-same holds for the tests and the demos, checked as a second set."""
+same holds for the tests and the demos, checked as a second set.  And no
+module under src/necklaces holds an assert, which python -O strips."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,18 @@ def test_no_unused_import_or_unreferenced_private_name_in_tests_and_demos():
     assert len(TESTS_AND_DEMOS) > 20
     found = _dead_code(TESTS_AND_DEMOS)
     assert not found, "\n".join(found)
+
+
+def test_no_assert_in_the_package():
+    """A check the program relies on raises; python -O would strip an assert."""
+    paths = sorted(Path(necklaces.__file__).parent.glob("*.py"))
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in paths
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(paths) > 10 and not found, found
 
 
 def test_the_guard_sees_unused_imports_and_dead_privates(tmp_path):

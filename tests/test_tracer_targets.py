@@ -52,11 +52,9 @@ def test_cli_import_loads_the_traced_modules_and_not_dataclasses():
     assert traced <= loaded, sorted(traced - loaded)
 
 
-def test_necklace_bracket_canonicalizes_through_its_module_binding(monkeypatch):
-    """install() counts canonical rotations by rebinding canonical_rotation
-    in every necklaces module that binds it.  The necklace bracket must call
-    it through the binding in brackets, or the traced
-    words.canonical_rotation metrics on center read 0."""
+def _counted_rotations(monkeypatch) -> list:
+    """Rebind canonical_rotation in brackets, as install() does, to a wrapper
+    that records each word it is called on."""
     brackets = importlib.import_module("necklaces.brackets")
     original = brackets.canonical_rotation
     calls = []
@@ -66,5 +64,25 @@ def test_necklace_bracket_canonicalizes_through_its_module_binding(monkeypatch):
         return original(w)
 
     monkeypatch.setattr(brackets, "canonical_rotation", wrapper)
-    assert brackets.center_check(2, 2, 4).ok
+    return calls
+
+
+def test_necklace_bracket_canonicalizes_through_its_module_binding(monkeypatch):
+    """install() counts canonical rotations by rebinding canonical_rotation
+    in every necklaces module that binds it.  The necklace bracket must call
+    it through the binding in brackets, or the traced
+    words.canonical_rotation metrics on center read 0."""
+    calls = _counted_rotations(monkeypatch)
+    assert importlib.import_module("necklaces.brackets").center_check(2, 2, 4).ok
     assert calls
+
+
+def test_center_check_canonicalizes_few_of_the_words_that_cancel(monkeypatch):
+    """Work guard.  {c_n, -} acts as a commutator, so its collapsed words
+    cancel from each position to the next, and from the last position back
+    to the first once the kernel keys that pair as one string.  Then 848
+    words of center_check(2, 3, 4) reach canonical_rotation, against 3,424
+    when the pair is keyed as two rotations of one word."""
+    calls = _counted_rotations(monkeypatch)
+    assert importlib.import_module("necklaces.brackets").center_check(2, 3, 4).ok
+    assert 0 < len(calls) <= 848

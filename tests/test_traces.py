@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from necklaces import traces
 from necklaces.brackets import BracketRule, center_element, necklace_bracket
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import FreeElement, Necklace, NecklaceElement
@@ -311,6 +312,14 @@ def test_center_witness_values():
     assert center_witness(2, 1) == 6
     assert center_witness(3, 1) == -6
     assert center_witness(1, 1) == 0
+
+
+def test_center_witness_refuses_a_non_constant_trace(monkeypatch):
+    """A trace that kept a variable has no value; it raises, under python -O
+    too, instead of returning its constant term."""
+    monkeypatch.setattr(traces, "trace_of", lambda e, mats: T1 + 3)
+    with pytest.raises(ArithmeticError, match="c_2 on the witness pair is not a constant"):
+        center_witness(2, 1)
 
 
 @pytest.mark.parametrize("lam", [0.1, True])
