@@ -17,52 +17,19 @@ import argparse
 import json
 import sys
 
-from . import sl2
-from .brackets import (
-    BracketRule,
-    center_check,
-    center_element,
-    check_grading,
-    kontsevich_bracket,
-    necklace_bracket,
-    verify_double_jacobi,
-    verify_loday_properties,
-)
-from .counting import enumerate_necklaces, necklace_count_by_enumeration, necklace_dimension
-from .elements import (
-    Necklace,
-    NecklaceElement,
-    _check_digits,
-    _excerpt,
-    _signed_sum,
-    format_element,
-    parse_element,
-    parse_rational,
-    project_to_necklace,
-)
-from .linear_rules import (
-    StructureConstants,
-    check_degree1_commutator,
-    gl_constants,
-    linear_rule,
-    matrix_unit_names,
-    ngl,
-)
-from .poisson import casimir_check, change_coordinates
-from .report import CheckReport
-from .sampling import random_word, rng
-from .sl2 import decompose_bruteforce, decompose_by_formula, table1
-from .traces import center_witness, classify_point, table2, verify_cayley_hamilton
-from .words import Word, format_word, letters, unstarred
+# each module runs on first use (see the package docstring), so a command
+# loads only the modules it calls into
+from . import brackets, counting, elements, linear_rules, poisson, report, sampling, sl2, traces
+from . import words
 
 
-def _necklace_element_json(e: NecklaceElement, names=None):
+def _necklace_element_json(e: elements.NecklaceElement, names=None):
     """The element's sorted terms as [coefficient, necklace] strings and its
     format_element text, from one sorted pass over the terms."""
-    terms = [(c, format_word(n, names)) for n, c in e]
+    terms = [(c, words.format_word(n, names)) for n, c in e]
     return {
         "terms": [[str(c), body] for c, body in terms],
-        "text": _signed_sum(terms),
+        "text": elements._signed_sum(terms),
     }
 
 
@@ -87,13 +54,13 @@ def _emit(args, text_lines, payload, csv_lines):
         sys.stdout.write(body)
 
 
-def _report_payload(report: CheckReport):
+def _report_payload(r: report.CheckReport):
     return {
-        "title": report.title,
-        "ok": report.ok,
+        "title": r.title,
+        "ok": r.ok,
         "checks": [
             {"label": e.label, "ok": e.ok, **({"detail": e.detail} if e.detail else {})}
-            for e in report.entries
+            for e in r.entries
         ],
     }
 
@@ -105,8 +72,8 @@ def cmd_dims(args):
     d, kmax = args.d, args.kmax
     rows = []
     for k in range(0, kmax + 1):
-        formula = necklace_dimension(d, k)
-        enumerated = necklace_count_by_enumeration(d, k)
+        formula = counting.necklace_dimension(d, k)
+        enumerated = counting.necklace_count_by_enumeration(d, k)
         rows.append((k, formula, enumerated, formula == enumerated))
     ok = all(r[3] for r in rows)
     text = [f"necklace dimensions, d={d}"] + [
@@ -131,41 +98,46 @@ def cmd_bracket(args):
     canonical = args.rule == "canonical"
     if args.rule.startswith("ngl:"):
         n = args.rule[4:]
-        _check_digits(args.rule, "--rule")
+        elements._check_digits(args.rule, "--rule")
         if not (n.isdecimal() and int(n) >= 1):
-            raise ValueError(f"--rule {_excerpt(args.rule)!r} is not ngl:N with an integer N >= 1")
-        rule = ngl(int(n))
+            given = elements._excerpt(args.rule)
+            raise ValueError(f"--rule {given!r} is not ngl:N with an integer N >= 1")
+        rule = linear_rules.ngl(int(n))
     elif not canonical:
         with open(args.rule) as fh:
-            rule = linear_rule(StructureConstants.from_json(fh.read()))
+            rule = linear_rules.linear_rule(linear_rules.StructureConstants.from_json(fh.read()))
     names = None if canonical else rule.names
     alphabet = {v: k for k, v in names.items()} if names else None
-    e1, e2 = (project_to_necklace(parse_element(w, alphabet)) for w in (args.w1, args.w2))
+    read = lambda w: elements.project_to_necklace(elements.parse_element(w, alphabet))
+    e1, e2 = read(args.w1), read(args.w2)
     if canonical:
         # the canonical bracket of two elements reads only the letter pairs
         # they use, so the rule holds those alone, whatever their indices
         used = {a.index for e in (e1, e2) for n in e.terms for a in n}
         d = max(used, default=1)
-        rule = BracketRule.canonical_on(used)
-    result = necklace_bracket(rule, e1, e2)
+        rule = brackets.BracketRule.canonical_on(used)
+    result = brackets.necklace_bracket(rule, e1, e2)
     payload = {"bracket": _necklace_element_json(result, names)}
     text = [f"bracket: {payload['bracket']['text']}"]
     if not canonical:
         return text, payload, None, True
-    oracle = kontsevich_bracket(e1, e2, d)
+    oracle = brackets.kontsevich_bracket(e1, e2, d)
     agree = oracle == result
-    payload.update(oracle=_necklace_element_json(oracle), agree=agree)
+    # equal elements print alike, so an agreeing oracle shares the bracket's
+    # JSON rather than holding a second copy of it
+    oracle_json = payload["bracket"] if agree else _necklace_element_json(oracle)
+    payload.update(oracle=oracle_json, agree=agree)
     text += [f"splice oracle: {payload['oracle']['text']}", "agree" if agree else "DISAGREE"]
     return text, payload, None, agree
 
 
 def cmd_table1(args):
     nmax = args.nmax or args.max_degree or 8
-    rows = table1(nmax)
+    rows = sl2.table1(nmax)
     agree = {}
     for row in rows:
         if row.degree <= sl2.DEFAULT_DEGREE_BOUND:
-            agree[row.degree] = row == decompose_bruteforce(row.degree)
+            agree[row.degree] = row == sl2.decompose_bruteforce(row.degree)
     ok = all(agree.values())
     weights = list(range(nmax, -1, -1))
     header = "," + ",".join(str(w) for w in weights)
@@ -201,7 +173,7 @@ AUDITED_CELL_NOTE = (
 
 
 def cmd_table2(args):
-    t = table2()  # a table failing antisymmetry or Jacobi raises ValueError
+    t = traces.table2()  # a table failing antisymmetry or Jacobi raises ValueError
     strings = [[repr(e) for e in row] for row in t.table]
     width = max(len(s) for row in strings for s in row)
     text = ["poisson brackets of the trace generators (n = 2)"]
@@ -239,10 +211,10 @@ def _printed(value, what: str) -> str:
 
 def cmd_center(args):
     d, n, bound = args.d, args.n, args.bound
-    lam = parse_rational(args.witness_lambda)
-    report = center_check(d, n, bound)
+    lam = elements.parse_rational(args.witness_lambda)
+    report = brackets.center_check(d, n, bound)
     checked, violations = len(report.entries), len(report.failures())
-    element = center_element(d, n)
+    element = brackets.center_element(d, n)
     element_json = _necklace_element_json(element)
     text = [
         f"central element c_{n} for d={d}: {element_json['text']}",
@@ -259,8 +231,8 @@ def cmd_center(args):
         "violations": violations,
     }
     if d == 1:
-        where = f"witness value of c_{n} at lambda={_excerpt(args.witness_lambda)}"
-        value = _printed(center_witness(n, lam), where)
+        where = f"witness value of c_{n} at lambda={elements._excerpt(args.witness_lambda)}"
+        value = _printed(traces.center_witness(n, lam), where)
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": value}
     ok = report.ok
@@ -269,68 +241,70 @@ def cmd_center(args):
     return text, payload, None, ok
 
 
-def _summary(report, label, witnesses, count, noun):
+def _summary(suite, label, witnesses, count, noun):
     """Add one entry for `count` sampled `noun`, of which `witnesses` (text)
     fail; a failure names how many fail and the first of them."""
     detail = f"{len(witnesses)} of {count} {noun} fail, first {witnesses[0]}" if witnesses else ""
-    report.add(label, not witnesses, detail)
+    suite.add(label, not witnesses, detail)
 
 
-def _sampled(report, label, r, alphabet, top, holds, count):
+def _sampled(suite, label, r, alphabet, top, holds, count):
     """Check `holds` on `count` random word triples of length 0..top and add
     one entry through _summary; a failing triple reads (a, b, c)."""
-    triples = ([random_word(r, alphabet, 0, top) for _ in range(3)] for _ in range(count))
-    failed = [f"({', '.join(map(format_word, t))})" for t in triples if not holds(*t)]
-    _summary(report, label, failed, count, "triples")
+    triples = ([sampling.random_word(r, alphabet, 0, top) for _ in range(3)] for _ in range(count))
+    failed = [f"({', '.join(map(words.format_word, t))})" for t in triples if not holds(*t)]
+    _summary(suite, label, failed, count, "triples")
 
 
-def _suite_jacobi(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("double Jacobi identity")
-    r = rng(seed)
+def _suite_jacobi(seed: int, max_degree: int) -> report.CheckReport:
+    suite = report.CheckReport("double Jacobi identity")
+    r = sampling.rng(seed)
     length = max(1, max_degree // 3)
+    canonical = brackets.BracketRule.canonical
     for label, rule, alphabet, top in (
-        ("canonical rule, d=1, 120 sampled triples", BracketRule.canonical(1), letters(1), length),
-        ("canonical rule, d=2, 120 sampled triples", BracketRule.canonical(2), letters(2), length),
-        ("matrix-algebra linear rule, 120 sampled triples", ngl(2), unstarred(4), 2),
+        ("canonical rule, d=1, 120 sampled triples", canonical(1), words.letters(1), length),
+        ("canonical rule, d=2, 120 sampled triples", canonical(2), words.letters(2), length),
+        ("matrix-algebra linear rule, 120 sampled triples", linear_rules.ngl(2), words.unstarred(4), 2),
     ):
-        holds = lambda a, b, c: verify_double_jacobi(rule, a, b, c).is_zero
-        _sampled(report, label, r, alphabet, top, holds, 120)
-    return report
+        holds = lambda a, b, c: brackets.verify_double_jacobi(rule, a, b, c).is_zero
+        _sampled(suite, label, r, alphabet, top, holds, 120)
+    return suite
 
 
-def _suite_loday(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("Loday identity and commutator triviality")
-    rule = BracketRule.canonical(1)
-    holds = lambda a, b, c: verify_loday_properties(rule, a, b, c) == (True, True)
+def _suite_loday(seed: int, max_degree: int) -> report.CheckReport:
+    suite = report.CheckReport("Loday identity and commutator triviality")
+    rule = brackets.BracketRule.canonical(1)
+    holds = lambda a, b, c: brackets.verify_loday_properties(rule, a, b, c) == (True, True)
     label = "canonical rule d=1, 100 sampled triples"
-    _sampled(report, label, rng(seed), letters(1), max(1, max_degree // 3), holds, 100)
-    return report
+    top = max(1, max_degree // 3)
+    _sampled(suite, label, sampling.rng(seed), words.letters(1), top, holds, 100)
+    return suite
 
 
-def _suite_grading(seed: int, max_degree: int) -> CheckReport:
-    report = CheckReport("bracket grading")
-    r = rng(seed)
-    necks = [n for k in range(max_degree + 1) for n in enumerate_necklaces(1, k)]
+def _suite_grading(seed: int, max_degree: int) -> report.CheckReport:
+    suite = report.CheckReport("bracket grading")
+    r = sampling.rng(seed)
+    necks = [n for k in range(max_degree + 1) for n in counting.enumerate_necklaces(1, k)]
     canonical_pairs = [(r.choice(necks), r.choice(necks)) for _ in range(150)]
-    bead = lambda: Necklace.of(random_word(r, unstarred(4), 1, 3))
+    bead = lambda: elements.Necklace.of(sampling.random_word(r, words.unstarred(4), 1, 3))
     linear_pairs = [(bead(), bead()) for _ in range(150)]
     for name, rule, pairs in (
-        ("canonical", BracketRule.canonical(1), canonical_pairs),
-        ("linear", ngl(2), linear_pairs),
+        ("canonical", brackets.BracketRule.canonical(1), canonical_pairs),
+        ("linear", linear_rules.ngl(2), linear_pairs),
     ):
         label = f"{name} rule has degree {rule.degree_shift}"
-        failed = [f"{e.label}: {e.detail}" for e in check_grading(rule, pairs).failures()]
-        _summary(report, label, failed, len(pairs), "pairs")
-    return report
+        failed = [f"{e.label}: {e.detail}" for e in brackets.check_grading(rule, pairs).failures()]
+        _summary(suite, label, failed, len(pairs), "pairs")
+    return suite
 
 
 SUITES = {
     "jacobi": _suite_jacobi,
     "loday": _suite_loday,
     "grading": _suite_grading,
-    "casimir": lambda seed, max_degree: casimir_check(),
-    "cayley-hamilton": lambda seed, max_degree: verify_cayley_hamilton(),
-    "decoupling": lambda seed, max_degree: change_coordinates(),
+    "casimir": lambda seed, max_degree: poisson.casimir_check(),
+    "cayley-hamilton": lambda seed, max_degree: traces.verify_cayley_hamilton(),
+    "decoupling": lambda seed, max_degree: poisson.change_coordinates(),
 }
 
 
@@ -347,8 +321,8 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     literals = (args.X, args.Y, args.E, args.F, args.H)
-    got = classify_point([parse_rational(v) for v in literals])
-    point = ", ".join(_excerpt(v) for v in literals)
+    got = traces.classify_point([elements.parse_rational(v) for v in literals])
+    point = ", ".join(elements._excerpt(v) for v in literals)
     casimir = _printed(got.casimir, f"Casimir value at ({point})")
     primed = [_printed(v, f"{g} at ({point})") for g, v in zip(("E'", "F'", "H'"), got.primed)]
     payload = {"leaf": got.leaf, "luna_type": got.luna_type, "casimir": casimir, "primed": primed}
@@ -357,16 +331,17 @@ def cmd_classify(args):
 
 def cmd_ngl(args):
     n = args.n
-    rule = ngl(n)
-    names = matrix_unit_names(n)
-    sc = gl_constants(n)
-    report = check_degree1_commutator(sc, rule)
+    rule = linear_rules.ngl(n)
+    names = linear_rules.matrix_unit_names(n)
+    sc = linear_rules.gl_constants(n)
+    report = linear_rules.check_degree1_commutator(sc, rule)
     text = [f"degree-1 brackets of the {n}x{n} matrix-algebra rule"]
     pairs = []
     units = sorted(names)
     for a in units:
         for b in units:
-            got = format_element(necklace_bracket(rule, Word([a]), Word([b])), names)
+            got = brackets.necklace_bracket(rule, words.Word([a]), words.Word([b]))
+            got = elements.format_element(got, names)
             pairs.append({"a": names[a], "b": names[b], "bracket": got})
             text.append(f"  {{{names[a]}, {names[b]}}} = {got}")
     text.append(f"matches matrix commutators: {report.ok}")
@@ -376,8 +351,8 @@ def cmd_ngl(args):
 
 def cmd_decompose(args):
     n = args.n
-    oracle = decompose_bruteforce(n)  # refuses a degree above its bound first
-    formula = decompose_by_formula(n)
+    oracle = sl2.decompose_bruteforce(n)  # refuses a degree above its bound first
+    formula = sl2.decompose_by_formula(n)
     agree = formula == oracle
     text = [f"degree {n} decomposes into highest weight modules:"]
     for w in sorted(formula.multiplicities, reverse=True):
@@ -399,14 +374,15 @@ def _int_at_least(low: int | None = None):
     a refusal names the literal by its first 24 characters."""
     def parse(text: str) -> int:
         try:
-            _check_digits(text, "integer")
+            elements._check_digits(text, "integer")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         digits = text[1:] if text[:1] in ("+", "-") else text
         value = int(text) if digits.isdecimal() else None
         if value is None or low is not None and value < low:
             at_least = "" if low is None else f" >= {low}"
-            raise argparse.ArgumentTypeError(f"expected an integer{at_least}, got {_excerpt(text)!r}")
+            got = elements._excerpt(text)
+            raise argparse.ArgumentTypeError(f"expected an integer{at_least}, got {got!r}")
         return value
 
     return parse

@@ -14,13 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, multipoly, traces
 from .brackets import BracketRule, necklace_bracket
 from .counting import binary_necklace_count, binomial, enumerate_necklaces
 from .elements import Necklace, NecklaceElement
-from .multipoly import symplectic_poisson
 from .report import CheckReport
-from .traces import generic_matrices, trace_of
 
 
 # the sl2 triple (E, F, H) of necklace elements; immutable and hashable
@@ -167,14 +165,14 @@ def check_low_degree_structure(d: int) -> CheckReport:
     traces.  Also the unit is central to degree 3, and for d = 1 the sl2 triple.
     """
     rule = BracketRule.canonical(d)
-    mats = generic_matrices(d, 1)
+    mats = traces.generic_matrices(d, 1)
     pairs = [(f"x{i}_11", f"x{i}s_11") for i in range(1, d + 1)]
     report = CheckReport(f"low-degree structure, d={d}")
 
     low = [n for k in (0, 1, 2) for n in enumerate_necklaces(d, k)]
-    traces = {n: trace_of(n, mats) for n in low}
+    images = {n: traces.trace_of(n, mats) for n in low}
     count = 1 + 2 * d + d * (2 * d + 1)
-    monomials = {tuple(t.terms.items()) for t in traces.values()}  # ((monomial, 1),) each
+    monomials = {tuple(t.terms.items()) for t in images.values()}  # ((monomial, 1),) each
     one_each = all(len(m) == 1 and m[0][1] == 1 for m in monomials)
     label = f"n = 1 trace sends the {count} necklaces of degree <= 2 to distinct monomials"
     report.add(label, one_each and len(low) == count == len(monomials))
@@ -182,8 +180,8 @@ def check_low_degree_structure(d: int) -> CheckReport:
         for n2 in low:
             got = necklace_bracket(rule, n1, n2)
             graded = all(k.degree == n1.degree + n2.degree - 2 for k in got.terms)
-            pois = symplectic_poisson(traces[n1], traces[n2], pairs)
-            report.add(f"{{{n1!r},{n2!r}}}", graded and trace_of(got, mats) == pois)
+            pois = multipoly.symplectic_poisson(images[n1], images[n2], pairs)
+            report.add(f"{{{n1!r},{n2!r}}}", graded and traces.trace_of(got, mats) == pois)
 
     unit = NecklaceElement.unit()
     necks = (n for k in range(4) for n in enumerate_necklaces(d, k))

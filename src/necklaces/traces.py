@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import linalg, poisson
-from .brackets import BracketRule, center_element, necklace_bracket
+from . import brackets, linalg, poisson
 from .elements import _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .poisson import TRACE_GENERATORS as GENERATORS
@@ -96,9 +95,12 @@ def table2() -> poisson.PoissonPolyAlgebra:
     is the necklace bracket of two generator necklaces, rewritten in the
     generators.  Construction refuses a table that is not antisymmetric or
     fails Jacobi on a generator triple, naming the cell or triple."""
-    rule = BracketRule.canonical(1)
+    rule = brackets.BracketRule.canonical(1)
     cells = [
-        [express_in_trace_generators(necklace_bracket(rule, a, b)) for b in _TABLE2_NECKLACES]
+        [
+            express_in_trace_generators(brackets.necklace_bracket(rule, a, b))
+            for b in _TABLE2_NECKLACES
+        ]
         for a in _TABLE2_NECKLACES
     ]
     return poisson.PoissonPolyAlgebra(GENERATORS, cells)
@@ -193,7 +195,7 @@ def casimir_image() -> CheckReport:
     gens = generator_polynomials()
     mats = _mats2()
     report = CheckReport("Casimir image of the central elements at n=2")
-    c2_trace = trace_of(center_element(1, 2), mats)
+    c2_trace = trace_of(brackets.center_element(1, 2), mats)
     report.add(
         "stated expression equals -(H'^2 + 4E'F')",
         stated == -casimir,
@@ -213,11 +215,11 @@ def casimir_image() -> CheckReport:
     )
     report.add(
         "image of c_4 equals 2(H'^2 + 4E'F')^2",
-        (2 * casimir**2).substitute(gens) == trace_of(center_element(1, 4), mats),
+        (2 * casimir**2).substitute(gens) == trace_of(brackets.center_element(1, 4), mats),
     )
     report.add(
         "image of c_3 is 0",
-        trace_of(center_element(1, 3), mats).is_zero,
+        trace_of(brackets.center_element(1, 3), mats).is_zero,
     )
     return report
 
@@ -233,7 +235,7 @@ def casimir_image_as_displayed() -> CheckReport:
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()
     gens = generator_polynomials()
-    c2_trace = trace_of(center_element(1, 2), _mats2())
+    c2_trace = trace_of(brackets.center_element(1, 2), _mats2())
     report = CheckReport("displayed Casimir image variants")
     report.add(
         "tr([x,x*]^2) equals the stated expression",
@@ -261,7 +263,7 @@ def center_witness(n: int, lam) -> int | Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     x, xs = witness_matrices(lam)
-    value = trace_of(center_element(1, n), [x, xs])
+    value = trace_of(brackets.center_element(1, n), [x, xs])
     if value.total_degree():
         raise ArithmeticError(f"c_{n} on the witness pair is not a constant: {value!r}")
     return value.constant_term()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from necklaces import brackets, cli
+from necklaces import brackets, cli, sl2
 from necklaces.brackets import kontsevich_bracket
 from necklaces.cli import main
 from necklaces.elements import Necklace, NecklaceElement, TripleTensor
@@ -52,8 +52,8 @@ def test_bracket_rule_holds_only_the_letters_used(capsys, monkeypatch):
     """The canonical rule of a bracket is built over the letter pairs its
     elements use, not over x1..xk for k their largest index."""
     seen = []
-    real = cli.necklace_bracket
-    monkeypatch.setattr(cli, "necklace_bracket", lambda rule, a, b: seen.append(rule) or real(rule, a, b))
+    real = brackets.necklace_bracket
+    monkeypatch.setattr(brackets, "necklace_bracket", lambda rule, a, b: seen.append(rule) or real(rule, a, b))
     code, out = run(capsys, "bracket", "x100000", "x100000*", "--format", "json")
     assert code == 0
     data = json.loads(out)
@@ -152,11 +152,9 @@ def test_table2_json(capsys):
 
 
 def test_table2_refusal_is_one_line_exit_2(capsys, monkeypatch):
-    from necklaces import traces
-
-    real = traces.necklace_bracket
+    real = brackets.necklace_bracket
     skewed = lambda rule, a, b: (3 if (a, b) == ("x1", "x1*") else 1) * real(rule, a, b)
-    monkeypatch.setattr(traces, "necklace_bracket", skewed)
+    monkeypatch.setattr(brackets, "necklace_bracket", skewed)
     assert main(["table2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -217,7 +215,7 @@ def test_decompose_checks_the_bound_before_the_formula(capsys, monkeypatch):
     def formula(n):
         raise AssertionError(f"decompose_by_formula({n}) ran before the bound was checked")
 
-    monkeypatch.setattr(cli, "decompose_by_formula", formula)
+    monkeypatch.setattr(sl2, "decompose_by_formula", formula)
     assert main(["decompose", "20000"]) == 2
     err = capsys.readouterr().err
     assert err == "necklaces decompose: error: degree 20000 outside the supported range 1..14\n"
@@ -352,16 +350,33 @@ def test_bracket_reads_d_from_its_elements(capsys, monkeypatch):
         seen.append(d)
         return kontsevich_bracket(e1, e2, d)
 
-    monkeypatch.setattr(cli, "kontsevich_bracket", oracle)
+    monkeypatch.setattr(brackets, "kontsevich_bracket", oracle)
     code, out = run(capsys, "bracket", "x2x2*", "x2", "--format", "json")
     assert code == 0 and seen == [2]
     data = json.loads(out)
     assert data["agree"] is True and data["bracket"]["terms"] == [["-1", "x2"]]
 
 
+def test_bracket_prints_the_oracle_own_terms_when_they_differ(capsys, monkeypatch):
+    code, out = run(capsys, "bracket", "x1x1*", "x1", "--format", "json")
+    assert code == 0
+    agreeing = json.loads(out)
+    assert agreeing["agree"] is True and agreeing["oracle"] == agreeing["bracket"]
+    tripled = lambda e1, e2, d: 3 * kontsevich_bracket(e1, e2, d)
+    monkeypatch.setattr(brackets, "kontsevich_bracket", tripled)
+    code, out = run(capsys, "bracket", "x1x1*", "x1", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["agree"] is False and data["bracket"] == agreeing["bracket"]
+    assert data["oracle"] == {"terms": [["-3", "x1"]], "text": "-3*x1"}
+    code, out = run(capsys, "bracket", "x1x1*", "x1")
+    assert code == 1
+    assert out.splitlines() == ["bracket: -x1", "splice oracle: -3*x1", "DISAGREE"]
+
+
 def test_failed_check_exits_1_and_names_a_triple(capsys, monkeypatch):
     broken = TripleTensor({(word("x"), word("x"), word("x")): 1})
-    monkeypatch.setattr(cli, "verify_double_jacobi", lambda rule, a, b, c: broken)
+    monkeypatch.setattr(brackets, "verify_double_jacobi", lambda rule, a, b, c: broken)
     code, out = run(capsys, "verify", "jacobi", "--format", "json")
     assert code == 1
     checks = json.loads(out)["suites"][0]["checks"]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces import sl2
+from necklaces import sl2, traces
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import necklace_dimension
 from necklaces.elements import NecklaceElement
@@ -176,7 +176,7 @@ def test_low_degree_structure_names_a_pair_when_the_bracket_is_doubled(monkeypat
 
 
 def test_low_degree_structure_needs_an_injective_trace(monkeypatch):
-    monkeypatch.setattr(sl2, "trace_of", lambda e, mats: Polynomial())
+    monkeypatch.setattr(traces, "trace_of", lambda e, mats: Polynomial())
     report = check_low_degree_structure(2)
     assert [e.label for e in report.failures()] == [
         "n = 1 trace sends the 15 necklaces of degree <= 2 to distinct monomials"

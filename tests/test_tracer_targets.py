@@ -3,8 +3,8 @@ loaded by the import every command makes.
 
 perfbench/tracer.py names each layer function by module, class and
 attribute; a rename would only drop that layer's metrics from a traced run.
-Its install() wraps only modules already loaded, so `import necklaces.cli`
-must load every traced module.  The tracer is imported by path and its
+Its install() wraps only modules already registered, so `import necklaces.cli`
+must register every traced module.  The tracer is imported by path and its
 install() is not called, so nothing is wrapped.
 """
 
@@ -22,11 +22,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracer().TARGETS
 
 
 @pytest.mark.parametrize("name, module, cls, attrs", [t[:4] for t in _targets()])
@@ -50,6 +54,21 @@ def test_cli_import_loads_the_traced_modules_and_not_dataclasses():
     assert "dataclasses" not in loaded and "inspect" not in loaded
     traced = {f"necklaces.{t[1]}" for t in _targets()}
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_tracer_wraps_the_layers_of_a_command(tmp_path):
+    """The tracer, run as a script on one command, finds every target and
+    records spans in the layers that command runs, although a module is
+    registered before it is loaded."""
+    out = tmp_path / "spans"
+    command = [sys.executable, str(TRACER), str(out), "center", "1", "3", "4", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(command, env=env, capture_output=True, check=True)
+    header, kind, *_ = _tracer().load(out)
+    assert header["untraced"] == []
+    for name in ("traces.trace_of", "brackets.necklace_bracket", "words.canonical_rotation"):
+        spans = sum(1 for k in kind if header["names"][k] == name)
+        assert spans > 0, name
 
 
 def _counted_rotations(monkeypatch) -> list:

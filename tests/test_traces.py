@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces import traces
+from necklaces import brackets, traces
 from necklaces.brackets import BracketRule, center_element, necklace_bracket
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import FreeElement, Necklace, NecklaceElement
@@ -171,9 +171,7 @@ def test_table2_matches_expected_and_antisymmetric():
 
 def skew_cell(monkeypatch, a, b, extra, both_ways):
     """Make table2 see {a, b} + extra, and {b, a} - extra if both_ways."""
-    from necklaces import traces
-
-    real = traces.necklace_bracket
+    real = brackets.necklace_bracket
 
     def skewed(rule, u, v):
         out = real(rule, u, v)
@@ -183,7 +181,7 @@ def skew_cell(monkeypatch, a, b, extra, both_ways):
             return out - NecklaceElement.of(extra)
         return out
 
-    monkeypatch.setattr(traces, "necklace_bracket", skewed)
+    monkeypatch.setattr(brackets, "necklace_bracket", skewed)
 
 
 def test_table2_refuses_a_table_that_is_not_antisymmetric(monkeypatch):
