@@ -331,9 +331,9 @@ def cmd_classify(args):
 
 def cmd_ngl(args):
     n = args.n
-    rule = linear_rules.ngl(n)
-    names = linear_rules.matrix_unit_names(n)
     sc = linear_rules.gl_constants(n)
+    rule = linear_rules.linear_rule(sc, names=linear_rules.matrix_unit_names(n))
+    names = rule.names
     report = linear_rules.check_degree1_commutator(sc, rule)
     text = [f"degree-1 brackets of the {n}x{n} matrix-algebra rule"]
     pairs = []
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table2)
 
     p = add_parser("center", help="centrality check and witness values")
-    p.add_argument("d", type=_integer)
+    p.add_argument("d", type=_positive_int)
     p.add_argument("n", type=_integer)
     p.add_argument("bound", type=_integer, nargs="?", default=6)
     p.add_argument("--witness-lambda", default="1")

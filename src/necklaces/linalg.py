@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
-A row is a SparseRow, its width and its nonzero entries {column: value},
-or a dense sequence of values; a plain dict is refused.  The package's own
-callers build SparseRows, so no dense row is formed on the way in.
+A row is a SparseRow, its width and its nonzero entries {column: value};
+any other row is refused.  Entries and right-hand sides are read by the
+package's one coercion, elements._coeff, so a float or a bool raises.
 
 One kernel serves rank and solve: each row is cleared of denominators to a
 primitive integer row, stored sparse as {column: int}, and reduced
@@ -18,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .elements import _coeff
+
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     g = gcd(*row.values())
@@ -27,8 +29,9 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 class SparseRow:
     """A row of `width` columns, stored as its nonzero entries {column: value}.
 
-    len() is the width and iteration yields the dense values, so a reader of
-    dense rows reads it unchanged; the elimination reads the entries alone.
+    The elimination reads the entries alone.  len() is the width and iteration
+    yields the dense values; perfbench/tracer.py, their only reader, counts a
+    matrix's cells and nonzeros from them.
     """
 
     __slots__ = ("width", "entries")
@@ -45,20 +48,17 @@ class SparseRow:
 
 
 def _entries(row):
-    """(column, value) pairs of a SparseRow or a dense sequence of values; a
-    dict is refused, as enumerating it reads its keys."""
-    if isinstance(row, SparseRow):
-        return row.entries.items()
-    if isinstance(row, dict):
-        raise TypeError("a row is a SparseRow or a dense sequence of values, not a dict")
-    return enumerate(row)
+    """The (column, value) pairs of a SparseRow; any other row is refused."""
+    if not isinstance(row, SparseRow):
+        raise TypeError(f"a row is a SparseRow, not a {type(row).__name__}")
+    return row.entries.items()
 
 
 def _integer_row(entries) -> dict[int, int]:
     """The nonzero entries, (column, value) pairs, scaled to coprime integers."""
-    row = {c: v if type(v) is int else Fraction(v) for c, v in entries if v}
+    row = {c: v if type(v) is int else _coeff(v) for c, v in entries}
     scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
 
 
 def _eliminate(rows) -> dict[int, dict[int, int]]:
@@ -93,14 +93,13 @@ def _eliminate(rows) -> dict[int, dict[int, int]]:
 
 
 def rank(rows: list) -> int:
-    """Rank of SparseRows or dense rows by fraction-free sparse elimination
-    with exact arithmetic."""
+    """Rank of SparseRows by exact fraction-free sparse elimination."""
     return len(_eliminate(map(_entries, rows)))
 
 
 def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b where a solution, if any, is unique (full column rank);
-    the rows of A are SparseRows or dense rows.
+    """Solve A x = b, A a list of SparseRows, where a solution, if any, is
+    unique (full column rank).
 
     Returns None if the system is inconsistent; raises if the solution is
     not unique.

@@ -139,6 +139,8 @@ def matrix_unit_index(n: int, i: int, j: int) -> int:
 def gl_constants(n: int) -> StructureConstants:
     """Structure constants of the full n x n matrix algebra: e_ij e_jl = e_il,
     and every other product of matrix units is zero."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     r = range(1, n + 1)
     unit = {(i, j): matrix_unit_index(n, i, j) for i in r for j in r}
     table = {(unit[i, j], unit[j, l], unit[i, l]): 1 for i in r for j in r for l in r}
@@ -156,8 +158,6 @@ def matrix_unit_names(n: int) -> dict[Letter, str]:
 def ngl(n: int) -> BracketRule:
     """The linear rule of the matrix algebra on n^2 beads e_ij:
     {{e_ij, e_kl}} = delta_jk e_il (x) 1 - delta_il 1 (x) e_kj."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return linear_rule(gl_constants(n), names=matrix_unit_names(n))
 
 

@@ -33,6 +33,13 @@ class Letter(int):
     _cache: dict[int, "Letter"] = {}
 
     def __new__(cls, index: int, starred: bool = False):
+        # before the cache is read: Letter(1, 2) and Letter(2.5) have codes
+        # equal to those of x2 and x2*
+        if type(index) is not int or type(starred) is not bool:
+            raise TypeError(
+                "a letter takes an int index and a bool star, got "
+                f"{type(index).__name__} and {type(starred).__name__}"
+            )
         if index < 1:
             raise ValueError(f"letter index must be >= 1, got {index}")
         code = 2 * (index - 1) + int(starred)

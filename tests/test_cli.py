@@ -103,6 +103,9 @@ HUGE = "9" * 995 + "e1000"
         (["ngl", "x" * 30], f"argument n: expected an integer, got '{'x' * 24}...'"),
         (["decompose", "+-5"], "argument n: expected an integer, got '+-5'"),
         (["verify", "jacobi", "--seed", LONG], f"argument --seed: integer '{LONG[:24]}...' has more than 1000 digits"),
+        (["center", "0", "2"], "argument d: expected an integer >= 1, got '0'"),
+        (["center", "-1", "2"], "argument d: expected an integer >= 1, got '-1'"),
+        (["center", "1", "-1"], "n must be >= 0"),
     ],
 )
 def test_bad_number_and_rule_name_the_input(capsys, argv, message):
@@ -319,6 +322,9 @@ BAD_RULE_FILES = {
         ["bracket", "x1", "x1", "--rule", "{tmp}/long_entry.json"],
         ["bracket", "x1", "x1", "--rule", "{tmp}/long_index.json"],
         ["bracket", "x1", "x1", "--rule", "{tmp}/long_value.json"],
+        ["center", "0", "2"],
+        ["center", "-1", "2"],
+        ["center", "1", "-1"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,48 +7,74 @@ import pytest
 from necklaces.linalg import SparseRow, rank, solve_unique
 
 
+def sparse(row) -> SparseRow:
+    return SparseRow(len(row), {c: v for c, v in enumerate(row) if v})
+
+
+def sparse_rows(rows) -> list[SparseRow]:
+    return [sparse(row) for row in rows]
+
+
 def test_rank_empty_matrices():
     assert rank([]) == 0
-    assert rank([[]]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank(sparse_rows([[]])) == 0
+    assert rank(sparse_rows([[0, 0], [0, 0]])) == 0
 
 
 def test_dict_rows_are_refused():
-    # enumerating a dict reads its keys as values: [{0: 1}, {1: 1}] would
-    # read as [[0], [1]] and have rank 1, not 2
-    with pytest.raises(TypeError, match="not a dict"):
-        rank([{0: 1}, {1: 1}])
-    with pytest.raises(TypeError, match="not a dict"):
-        rank([[1, 0], {1: 1}])
-    with pytest.raises(TypeError, match="not a dict"):
-        solve_unique([{0: 1}, {1: 1}], [1, 1])
-    with pytest.raises(TypeError, match="not a dict"):
-        solve_unique([[1, 0], {1: 1}], [1, 1])
+    # a row is a SparseRow and nothing else: enumerating a dict reads its
+    # keys as values, so [{0: 1}, {1: 1}] would read as [[0], [1]] and have
+    # rank 1, not 2.  Entries and right-hand sides are read by
+    # elements._coeff, zeros included, so a float or a bool is refused.
+    not_a = "a row is a SparseRow, not a "
+    inexact = "coefficient must be exact (int/Fraction), got "
+    refusals = [
+        (lambda: rank([{0: 1}, {1: 1}]), not_a + "dict"),
+        (lambda: rank([sparse([1, 0]), {1: 1}]), not_a + "dict"),
+        (lambda: solve_unique([{0: 1}, {1: 1}], [1, 1]), not_a + "dict"),
+        (lambda: solve_unique([sparse([1, 0]), {1: 1}], [1, 1]), not_a + "dict"),
+        (lambda: rank([[1, 2]]), not_a + "list"),
+        (lambda: rank([sparse([1, 0]), [0, 1]]), not_a + "list"),
+        (lambda: rank([(1, 2)]), not_a + "tuple"),
+        (lambda: solve_unique([[1, 0], [0, 1]], [1, 1]), not_a + "list"),
+        (lambda: rank([SparseRow(1, {0: 0.5})]), inexact + "float"),
+        (lambda: rank([SparseRow(2, {0: 1, 1: 0.0})]), inexact + "float"),
+        (lambda: rank([SparseRow(1, {0: True})]), inexact + "bool"),
+        (lambda: rank([SparseRow(2, {0: 1, 1: False})]), inexact + "bool"),
+        (lambda: solve_unique([SparseRow(1, {0: 0.1})], [Fraction(3, 10)]), inexact + "float"),
+        (lambda: solve_unique([SparseRow(1, {0: True})], [1]), inexact + "bool"),
+        (lambda: solve_unique([SparseRow(1, {0: 1})], [0.3]), inexact + "float"),
+        (lambda: solve_unique([SparseRow(1, {0: 1})], [0.0]), inexact + "float"),
+        (lambda: solve_unique([SparseRow(1, {0: 1})], [True]), inexact + "bool"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_rank_deficient_and_wide():
     # third row = first + second, with rational entries
     half = Fraction(1, 2)
-    assert rank([[1, 2, 3], [half, 0, 1], [Fraction(3, 2), 2, 4]]) == 2
+    assert rank(sparse_rows([[1, 2, 3], [half, 0, 1], [Fraction(3, 2), 2, 4]])) == 2
     # more columns than rows: rank is bounded by the row count
-    assert rank([[1, 0, 2, 5, 7], [0, 1, 3, 1, 1]]) == 2
-    assert rank([[1, 2, 3, 4], [2, 4, 6, 8]]) == 1
+    assert rank(sparse_rows([[1, 0, 2, 5, 7], [0, 1, 3, 1, 1]])) == 2
+    assert rank(sparse_rows([[1, 2, 3, 4], [2, 4, 6, 8]])) == 1
 
 
 def test_solve_unique_returns_the_solution():
     a = [[2, 1], [1, 3], [1, 1]]  # overdetermined but consistent
     x = [Fraction(1, 3), Fraction(-2, 5)]
     b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
-    assert solve_unique(a, b) == x
+    assert solve_unique(sparse_rows(a), b) == x
 
 
 def test_solve_unique_inconsistent_is_none():
-    assert solve_unique([[1, 1], [2, 2], [0, 1]], [1, 3, 0]) is None
+    assert solve_unique(sparse_rows([[1, 1], [2, 2], [0, 1]]), [1, 3, 0]) is None
 
 
 def test_solve_unique_rank_deficient_raises():
     with pytest.raises(ValueError):
-        solve_unique([[1, 2], [2, 4]], [1, 2])
+        solve_unique(sparse_rows([[1, 2], [2, 4]]), [1, 2])
 
 
 # --- the sparse kernel against an independent dense oracle -------------------
@@ -104,7 +131,7 @@ def test_rank_matches_dense_oracle(seed):
     rows = random_matrix(rng, nrows, ncols, independent)
     expected = dense_rank(rows)
     assert expected <= independent
-    assert rank(rows) == expected
+    assert rank(sparse_rows(rows)) == expected
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -114,7 +141,7 @@ def test_rank_with_large_entries_matches_dense_oracle(seed):
     rng = random.Random(100 + seed)
     rows = random_matrix(rng, 12, 10, rng.randint(4, 10), scale=rng.randint(2**40, 2**64))
     rows = [[v * rng.randint(1, 2**30) for v in row] for row in rows]
-    assert rank(rows) == dense_rank(rows)
+    assert rank(sparse_rows(rows)) == dense_rank(rows)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -126,7 +153,7 @@ def test_solve_unique_by_substitution(seed):
         a = random_matrix(rng, len(a), ncols, ncols)
     x = [random_entry(rng) for _ in range(ncols)]
     b = matvec(a, x)
-    found = solve_unique(a, b)
+    found = solve_unique(sparse_rows(a), b)
     assert matvec(a, found) == b
     assert found == x  # the column rank is full, so x is the only solution
 
@@ -142,7 +169,7 @@ def test_solve_unique_inconsistent_systems_are_none(seed):
         bad = b[:i] + [b[i] + Fraction(1, rng.randint(1, 5))] + b[i + 1:]
         if dense_rank([row + [v] for row, v in zip(a, bad)]) > dense_rank(a):
             break
-    assert solve_unique(a, bad) is None
+    assert solve_unique(sparse_rows(a), bad) is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -155,14 +182,10 @@ def test_solve_unique_rank_deficient_systems_raise(seed):
     a = [row + [sum(c * v for c, v in zip(coeffs, row))] for row in a]
     b = matvec(a, [random_entry(rng) for _ in range(ncols)])
     with pytest.raises(ValueError):
-        solve_unique(a, b)
+        solve_unique(sparse_rows(a), b)
 
 
 # --- SparseRow: the same rows, stored as their nonzero entries ---------------
-
-
-def sparse(row) -> SparseRow:
-    return SparseRow(len(row), {c: v for c, v in enumerate(row) if v})
 
 
 def test_sparse_row_reads_as_its_dense_form():
@@ -197,8 +220,6 @@ def test_sparse_rows_match_dense_oracle(seed):
     nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
     rows = random_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
     assert rank([sparse(row) for row in rows]) == dense_rank(rows)
-    # a mix of both kinds is one matrix
-    assert rank([sparse(row) if i % 2 else row for i, row in enumerate(rows)]) == dense_rank(rows)
 
 
 @pytest.mark.parametrize("seed", range(20))

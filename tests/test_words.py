@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,11 @@ def test_letter_order():
     assert x1.name == "x1" and x1s.name == "x1*"
 
 
+def test_word_from_letter_codes():
+    # an int item is a letter code: 0 is x1 and 1 is x1*
+    assert word(0, 1) == word("x1x1*") == word(Letter(1), "x1*")
+
+
 def test_letter_codes_roundtrip():
     for code in range(10):
         a = Letter.from_code(code)
@@ -47,6 +57,38 @@ def test_letters_are_read_only():
             delattr(a, attr)
     assert (a.name, a.index, a.starred, a.code) == ("x1", 1, False, 0)
     assert format_word(word("x1x1*")) == "x1x1*" and word("x1").max_index() == 1
+
+
+# run in a fresh interpreter: a constructor that cached a bad letter would
+# rename the shared x2 or x2* for every later test
+BAD_LETTERS = """
+import json
+from necklaces.words import Letter, parse_word
+refused = []
+for args in [(1, 2), (2.5,), (True,), ("2",), (2, 1), (2, None)]:
+    try:
+        Letter(*args)
+    except TypeError as exc:
+        refused.append(str(exc))
+print(json.dumps([refused, repr(Letter(2)), repr(Letter(2, True)), repr(list(parse_word("x2x2*")))]))
+"""
+
+
+def test_a_bad_letter_is_refused_before_the_cache():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", BAD_LETTERS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    refused, x2, x2s, parsed = json.loads(out)
+    assert refused == [
+        "a letter takes an int index and a bool star, got int and int",
+        "a letter takes an int index and a bool star, got float and bool",
+        "a letter takes an int index and a bool star, got bool and bool",
+        "a letter takes an int index and a bool star, got str and bool",
+        "a letter takes an int index and a bool star, got int and int",
+        "a letter takes an int index and a bool star, got int and NoneType",
+    ]
+    assert (x2, x2s, parsed) == ("x2", "x2*", "[x2, x2*]")
 
 
 def test_word_basics():
