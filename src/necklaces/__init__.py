@@ -54,10 +54,12 @@ _EXPORTS = {
     ),
     "multipoly": ("Polynomial", "PolyMatrix", "symplectic_poisson"),
     "poisson": (
+        "LeafClass",
         "PoissonPolyAlgebra",
         "casimir",
         "casimir_check",
         "change_coordinates",
+        "classify_point",
         "sl2_heisenberg_algebra",
         "trace_generator_algebra",
     ),
@@ -75,11 +77,9 @@ _EXPORTS = {
         "word_weight",
     ),
     "traces": (
-        "LeafClass",
         "casimir_image",
         "casimir_image_as_displayed",
         "center_witness",
-        "classify_point",
         "express_in_trace_generators",
         "generic_matrices",
         "table2",

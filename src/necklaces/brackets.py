@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .counting import enumerate_necklaces
+from . import counting, report
 from .elements import (
     FreeElement,
     Necklace,
@@ -50,7 +50,6 @@ from .elements import (
     format_element,
     project_to_necklace,
 )
-from .report import CheckReport
 from .words import Letter, Word, canonical_rotation
 
 
@@ -351,36 +350,36 @@ def center_element(d: int, n: int) -> NecklaceElement:
     return project_to_necklace(FreeElement(terms) ** n)
 
 
-def center_check(d: int, n: int, degree_bound: int) -> CheckReport:
+def center_check(d: int, n: int, degree_bound: int) -> report.CheckReport:
     """Bracket the n-th central element against every necklace of degree
     <= degree_bound, one entry each; a nonzero bracket is the witness."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     rule = BracketRule.canonical(d)
     cn = center_element(d, n)
-    report = CheckReport(f"c_{n} is central, d={d}, degree <= {degree_bound}")
+    checks = report.CheckReport(f"c_{n} is central, d={d}, degree <= {degree_bound}")
     for k in range(0, degree_bound + 1):
-        for neck in enumerate_necklaces(d, k):
+        for neck in counting.enumerate_necklaces(d, k):
             got = necklace_bracket(rule, cn, NecklaceElement.of(neck))
             ok = got.is_zero
-            report.add(f"{{c_{n}, {neck!r}}} = 0", ok, "" if ok else format_element(got))
-    return report
+            checks.add(f"{{c_{n}, {neck!r}}} = 0", ok, "" if ok else format_element(got))
+    return checks
 
 
-def check_grading(rule: BracketRule, pairs) -> CheckReport:
+def check_grading(rule: BracketRule, pairs) -> report.CheckReport:
     """Check deg {w1, w2} == deg w1 + deg w2 + shift on all given necklace
     pairs, one entry each (only nonzero homogeneous outputs constrain
     anything); a failure names a necklace of the wrong degree."""
     shift = rule.degree_shift
     if shift is None:
         raise ValueError("rule has no degree shift: term lengths differ or there are no terms")
-    report = CheckReport(f"necklace bracket has degree {shift}")
+    checks = report.CheckReport(f"necklace bracket has degree {shift}")
     for n1, n2 in pairs:
         n1, n2 = Necklace.of(n1), Necklace.of(n2)
         expected = n1.degree + n2.degree + shift
         got = necklace_bracket(rule, n1, n2)
         wrong = min((k for k in got.terms if k.degree != expected), default=None)
         detail = "" if wrong is None else f"{wrong!r} has degree {wrong.degree}, expected {expected}"
-        report.add(f"{{{n1!r}, {n2!r}}}", wrong is None, detail)
-    return report
+        checks.add(f"{{{n1!r}, {n2!r}}}", wrong is None, detail)
+    return checks
 

@@ -5,10 +5,10 @@ decompose.  Global flags: --format {text,json,csv}, --seed N, --max-degree N,
 --output PATH.  All output is deterministic for fixed flags and seed; exact
 rationals are serialized as strings "p/q".
 
-Each cmd_* returns (text lines, JSON payload, csv lines or None, verdict);
-main writes the output and sets the exit status: 0 when every check passes,
-1 when a check fails, 2 for a usage or input error, reported as one line on
-stderr.
+Each cmd_* formats what the library computes, verify's suites included, as
+(text lines, JSON payload, csv lines or None, verdict).  main refuses csv
+for a command without it before the command runs, and exits 0 when every
+check passes, 1 when one fails, 2 on a usage or input error (one stderr line).
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ def _emit(args, text_lines, payload, csv_lines):
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_lines is None:
-            raise SystemExit(_error(args, "csv output is not defined for this command"))
         body = "\n".join(csv_lines) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
@@ -241,67 +239,11 @@ def cmd_center(args):
     return text, payload, None, ok
 
 
-def _summary(suite, label, witnesses, count, noun):
-    """Add one entry for `count` sampled `noun`, of which `witnesses` (text)
-    fail; a failure names how many fail and the first of them."""
-    detail = f"{len(witnesses)} of {count} {noun} fail, first {witnesses[0]}" if witnesses else ""
-    suite.add(label, not witnesses, detail)
-
-
-def _sampled(suite, label, r, alphabet, top, holds, count):
-    """Check `holds` on `count` random word triples of length 0..top and add
-    one entry through _summary; a failing triple reads (a, b, c)."""
-    triples = ([sampling.random_word(r, alphabet, 0, top) for _ in range(3)] for _ in range(count))
-    failed = [f"({', '.join(map(words.format_word, t))})" for t in triples if not holds(*t)]
-    _summary(suite, label, failed, count, "triples")
-
-
-def _suite_jacobi(seed: int, max_degree: int) -> report.CheckReport:
-    suite = report.CheckReport("double Jacobi identity")
-    r = sampling.rng(seed)
-    length = max(1, max_degree // 3)
-    canonical = brackets.BracketRule.canonical
-    for label, rule, alphabet, top in (
-        ("canonical rule, d=1, 120 sampled triples", canonical(1), words.letters(1), length),
-        ("canonical rule, d=2, 120 sampled triples", canonical(2), words.letters(2), length),
-        ("matrix-algebra linear rule, 120 sampled triples", linear_rules.ngl(2), words.unstarred(4), 2),
-    ):
-        holds = lambda a, b, c: brackets.verify_double_jacobi(rule, a, b, c).is_zero
-        _sampled(suite, label, r, alphabet, top, holds, 120)
-    return suite
-
-
-def _suite_loday(seed: int, max_degree: int) -> report.CheckReport:
-    suite = report.CheckReport("Loday identity and commutator triviality")
-    rule = brackets.BracketRule.canonical(1)
-    holds = lambda a, b, c: brackets.verify_loday_properties(rule, a, b, c) == (True, True)
-    label = "canonical rule d=1, 100 sampled triples"
-    top = max(1, max_degree // 3)
-    _sampled(suite, label, sampling.rng(seed), words.letters(1), top, holds, 100)
-    return suite
-
-
-def _suite_grading(seed: int, max_degree: int) -> report.CheckReport:
-    suite = report.CheckReport("bracket grading")
-    r = sampling.rng(seed)
-    necks = [n for k in range(max_degree + 1) for n in counting.enumerate_necklaces(1, k)]
-    canonical_pairs = [(r.choice(necks), r.choice(necks)) for _ in range(150)]
-    bead = lambda: elements.Necklace.of(sampling.random_word(r, words.unstarred(4), 1, 3))
-    linear_pairs = [(bead(), bead()) for _ in range(150)]
-    for name, rule, pairs in (
-        ("canonical", brackets.BracketRule.canonical(1), canonical_pairs),
-        ("linear", linear_rules.ngl(2), linear_pairs),
-    ):
-        label = f"{name} rule has degree {rule.degree_shift}"
-        failed = [f"{e.label}: {e.detail}" for e in brackets.check_grading(rule, pairs).failures()]
-        _summary(suite, label, failed, len(pairs), "pairs")
-    return suite
-
-
+# a lambda reads its suite's module when the suite runs, not at import
 SUITES = {
-    "jacobi": _suite_jacobi,
-    "loday": _suite_loday,
-    "grading": _suite_grading,
+    "jacobi": lambda seed, max_degree: sampling.jacobi_suite(seed, max_degree),
+    "loday": lambda seed, max_degree: sampling.loday_suite(seed, max_degree),
+    "grading": lambda seed, max_degree: sampling.grading_suite(seed, max_degree),
     "casimir": lambda seed, max_degree: poisson.casimir_check(),
     "cayley-hamilton": lambda seed, max_degree: traces.verify_cayley_hamilton(),
     "decoupling": lambda seed, max_degree: poisson.change_coordinates(),
@@ -321,7 +263,7 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     literals = (args.X, args.Y, args.E, args.F, args.H)
-    got = traces.classify_point([elements.parse_rational(v) for v in literals])
+    got = poisson.classify_point([elements.parse_rational(v) for v in literals])
     point = ", ".join(elements._excerpt(v) for v in literals)
     casimir = _printed(got.casimir, f"Casimir value at ({point})")
     primed = [_printed(v, f"{g} at ({point})") for g, v in zip(("E'", "F'", "H'"), got.primed)]
@@ -442,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("center", help="centrality check and witness values")
     p.add_argument("d", type=_positive_int)
-    p.add_argument("n", type=_integer)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("bound", type=_integer, nargs="?", default=6)
     p.add_argument("--witness-lambda", default="1")
     p.set_defaults(func=cmd_center)
@@ -457,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = add_parser("ngl", help="matrix-algebra rule: degree-1 bracket table")
-    p.add_argument("n", type=_integer)
+    p.add_argument("n", type=_positive_int)
     p.set_defaults(func=cmd_ngl)
 
     p = add_parser("decompose", help="weight decomposition of one degree")
@@ -468,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format == "csv" and args.command not in ("dims", "table1", "table2"):
+        raise SystemExit(_error(args, "csv output is not defined for this command"))
     try:
         text, payload, csv_lines, ok = args.func(args)
         _emit(args, text, payload, csv_lines)

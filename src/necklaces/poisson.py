@@ -2,12 +2,11 @@
 
 A PoissonPolyAlgebra is a polynomial algebra with a bracket given on
 generators by an antisymmetric table and extended to all polynomials as a
-biderivation.  Antisymmetry and the Jacobi identity on generator triples
-are hard preconditions checked at construction.
-
-Two presets are provided: the bracket table of the five trace generators
+biderivation; antisymmetry and Jacobi on generator triples are checked at
+construction.  Two presets: the bracket table of the five trace generators
 of pairs of 2x2 matrices, and the same structure in the coordinates
-(X, Y, E, F, H) with the central degree-0 generator already set to 2.
+(X, Y, E, F, H) of sl2 ⋉ h, with the central {X, Y} set to 2, whose
+symplectic leaves classify_point tells apart at a point.
 """
 
 from __future__ import annotations
@@ -171,3 +170,44 @@ def casimir_check() -> CheckReport:
     for g in SEMIDIRECT_GENERATORS:
         report.add(f"{{c, {g}}} = 0", alg.bracket(c, alg.variable(g)).is_zero)
     return report
+
+
+TAU1 = "[(2,1)]"
+TAU2 = "[(1,1);(1,1)]"
+TAU3 = "[(1,2)]"
+
+
+class LeafClass:
+    """Symplectic-leaf and representation-type classification of a point.
+
+    `leaf` is "S_lambda", "S_0'" or "S_0''"; `casimir` is the exact value
+    of H'^2 + 4E'F' at the point; `primed` is (E', F', H').
+    """
+
+    __slots__ = ("leaf", "luna_type", "casimir", "primed")
+
+    def __init__(self, leaf: str, luna_type: str, casimir, primed: tuple):
+        self.leaf, self.luna_type, self.casimir, self.primed = leaf, luna_type, casimir, primed
+
+    def __str__(self):
+        if self.leaf == "S_lambda":
+            return f"S_lambda with lambda = {self.casimir}, Luna type {self.luna_type}"
+        return f"{self.leaf}, Luna type {self.luna_type}"
+
+
+def classify_point(coords) -> LeafClass:
+    """Classify (X, Y, E, F, H) with exact rational coordinates, by
+    evaluating the primed generators and the Casimir at the point; a float
+    or complex coordinate raises TypeError."""
+    if len(coords) != 5:
+        raise ValueError("expected coordinates (X, Y, E, F, H)")
+    point = dict(zip(SEMIDIRECT_GENERATORS, coords))
+    primed = primed_generators()
+    value = lambda p: p.substitute(point).constant_term()
+    ep, fp, hp = (value(primed[g]) for g in ("E'", "F'", "H'"))
+    c = value(casimir())
+    if not (ep or fp or hp):
+        return LeafClass("S_0''", TAU3, c, (ep, fp, hp))
+    if not c:
+        return LeafClass("S_0'", TAU2, c, (ep, fp, hp))
+    return LeafClass("S_lambda", TAU1, c, (ep, fp, hp))

@@ -6,8 +6,8 @@ n = 2 the trace ring is the polynomial algebra on
 
     tr(x), tr(x*), tr(x^2), tr((x*)^2), tr(xx*)
 
-and every identity in this module is checked as an exact polynomial
-identity in the 8 matrix-entry indeterminates.
+and every identity here is an exact polynomial identity in the 8
+matrix-entry indeterminates; the leaves are classified in poisson.
 """
 
 from __future__ import annotations
@@ -267,44 +267,3 @@ def center_witness(n: int, lam) -> int | Fraction:
     if value.total_degree():
         raise ArithmeticError(f"c_{n} on the witness pair is not a constant: {value!r}")
     return value.constant_term()
-
-
-TAU1 = "[(2,1)]"
-TAU2 = "[(1,1);(1,1)]"
-TAU3 = "[(1,2)]"
-
-
-class LeafClass:
-    """Symplectic-leaf and representation-type classification of a point.
-
-    `leaf` is "S_lambda", "S_0'" or "S_0''"; `casimir` is the exact value
-    of H'^2 + 4E'F' at the point; `primed` is (E', F', H').
-    """
-
-    __slots__ = ("leaf", "luna_type", "casimir", "primed")
-
-    def __init__(self, leaf: str, luna_type: str, casimir, primed: tuple):
-        self.leaf, self.luna_type, self.casimir, self.primed = leaf, luna_type, casimir, primed
-
-    def __str__(self):
-        if self.leaf == "S_lambda":
-            return f"S_lambda with lambda = {self.casimir}, Luna type {self.luna_type}"
-        return f"{self.leaf}, Luna type {self.luna_type}"
-
-
-def classify_point(coords) -> LeafClass:
-    """Classify (X, Y, E, F, H) with exact rational coordinates, by
-    evaluating the primed generators and the Casimir at the point; a float
-    or complex coordinate raises TypeError."""
-    if len(coords) != 5:
-        raise ValueError("expected coordinates (X, Y, E, F, H)")
-    point = dict(zip(poisson.SEMIDIRECT_GENERATORS, coords))
-    primed = poisson.primed_generators()
-    value = lambda p: p.substitute(point).constant_term()
-    ep, fp, hp = (value(primed[g]) for g in ("E'", "F'", "H'"))
-    c = value(poisson.casimir())
-    if not (ep or fp or hp):
-        return LeafClass("S_0''", TAU3, c, (ep, fp, hp))
-    if not c:
-        return LeafClass("S_0'", TAU2, c, (ep, fp, hp))
-    return LeafClass("S_lambda", TAU1, c, (ep, fp, hp))

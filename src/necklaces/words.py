@@ -134,7 +134,7 @@ def word(*items) -> Word:
     """Build a word from Letters or letter codes, or strings of letter names."""
     out = []
     for it in items:
-        if isinstance(it, int):  # a Letter is its own code
+        if isinstance(it, int) and type(it) is not bool:  # a Letter is its own code
             out.append(Letter.from_code(it))
         elif isinstance(it, str):
             out.extend(parse_word(it))

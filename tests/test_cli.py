@@ -100,12 +100,13 @@ HUGE = "9" * 995 + "e1000"
         (["classify", "1", "2", "3", "4", "x" * 5000], f"invalid number '{'x' * 24}...'"),
         (["dims", "1", LONG], f"argument kmax: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", LONG, "2"], f"argument d: integer '{LONG[:24]}...' has more than 1000 digits"),
-        (["ngl", "x" * 30], f"argument n: expected an integer, got '{'x' * 24}...'"),
+        (["ngl", "x" * 30], f"argument n: expected an integer >= 1, got '{'x' * 24}...'"),
         (["decompose", "+-5"], "argument n: expected an integer, got '+-5'"),
         (["verify", "jacobi", "--seed", LONG], f"argument --seed: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", "0", "2"], "argument d: expected an integer >= 1, got '0'"),
         (["center", "-1", "2"], "argument d: expected an integer >= 1, got '-1'"),
-        (["center", "1", "-1"], "n must be >= 0"),
+        (["center", "1", "-1"], "argument n: expected an integer >= 0, got '-1'"),
+        (["ngl", "0"], "argument n: expected an integer >= 1, got '0'"),
     ],
 )
 def test_bad_number_and_rule_name_the_input(capsys, argv, message):
@@ -253,6 +254,18 @@ def test_csv_not_defined_everywhere(capsys):
     assert err == "necklaces classify: error: csv output is not defined for this command\n"
 
 
+def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch):
+    def center_check(d, n, bound):
+        raise AssertionError("center_check ran before csv was refused")
+
+    monkeypatch.setattr(brackets, "center_check", center_check)
+    with pytest.raises(SystemExit) as e:
+        main(["center", "1", "2", "--format", "csv"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "necklaces center: error: csv output is not defined for this command\n"
+
+
 BAD_RULE_FILES = {
     "no_dim.json": '{"a": []}',
     "not_an_object.json": "[1]",
@@ -325,6 +338,7 @@ BAD_RULE_FILES = {
         ["center", "0", "2"],
         ["center", "-1", "2"],
         ["center", "1", "-1"],
+        ["ngl", "0"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):

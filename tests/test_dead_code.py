@@ -1,8 +1,9 @@
 """No dead code: every module under src/necklaces (but the re-exporting
 __init__.py) uses each name it imports, and every module-level _private
 function, class or constant is referenced somewhere in the package; the
-same holds for the tests and the demos, checked as a second set.  And no
-module under src/necklaces holds an assert, which python -O strips."""
+same holds for the tests and the demos, checked as a second set.  No
+module under src/necklaces holds an assert, which python -O strips, and
+cli.py builds no CheckReport: the checks live in the library."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,19 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert len(paths) > 10 and not found, found
+
+
+def test_the_cli_makes_no_check_report():
+    """A check is a library function that returns a CheckReport; the CLI
+    only formats the reports it gets."""
+    path = Path(necklaces.__file__).parent / "cli.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "CheckReport" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert not found, found
 
 
 def test_the_guard_sees_unused_imports_and_dead_privates(tmp_path):

@@ -88,10 +88,15 @@ def _modules_run(argv):
     [
         ([], set(LIBRARY)),
         (["dims", "1", "2"], {"brackets", "traces", "sl2"}),
-        (["classify", "1", "2", "3", "4", "5"], {"brackets", "sl2"}),
+        (["classify", "1", "2", "3", "4", "5"], {"brackets", "sl2", "traces"}),
         (["decompose", "5"], {"traces"}),
+        (
+            ["bracket", "x", "x*"],
+            {"counting", "report", "sampling", "traces", "sl2", "linalg", "linear_rules"},
+        ),
+        (["verify", "casimir"], {"brackets", "sampling", "traces"}),
     ],
-    ids=["build_parser", "dims", "classify", "decompose"],
+    ids=["build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir"],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, not_run):
     exit_code, ran = _modules_run(argv)

@@ -95,6 +95,7 @@ REFUSALS = {
         ValueError, "letter x2 has no matrix",
     ),
     "word_float": (lambda: word(1.5), TypeError, "cannot make a word from 1.5"),
+    "word_bool": (lambda: word(True), TypeError, "cannot make a word from True"),
 }
 
 

@@ -7,7 +7,7 @@ from necklaces.brackets import BracketRule, center_element, necklace_bracket
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import FreeElement, Necklace, NecklaceElement
 from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
-from necklaces.poisson import PoissonPolyAlgebra
+from necklaces.poisson import PoissonPolyAlgebra, classify_point
 from necklaces.sampling import random_word, rng
 from necklaces.traces import (
     GENERATORS,
@@ -15,7 +15,6 @@ from necklaces.traces import (
     casimir_image_as_displayed,
     casimir_polynomial,
     center_witness,
-    classify_point,
     express_in_trace_generators,
     generator_polynomials,
     generic_matrices,
