@@ -27,8 +27,8 @@ chr(code) per letter.  It never builds a free-algebra element: it sums its
 collapsed words as code strings in int and decodes into Letters only the
 necklaces whose sums stay nonzero.  A code must be a code point, so a
 rule's letters stop at x557056.  {c_n, -} acts as a commutator with a
-fixed element, so its collapsed words cancel from each position to the
-next, and from the last back to the first, keyed as one string there.
+fixed element, so its collapsed words cancel in pairs; a pair keyed as
+two rotations of one word, one turn of the right word apart, merges first.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 
 from . import counting, report
@@ -149,8 +150,7 @@ def _open(rule: BracketRule, e) -> _Opening:
             for partner, terms in rule.partners.get(ap, ()):
                 row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
-                    w = u + rest + v
-                    row.append((w, ca * c, len(u) + after))
+                    row.append((u + rest + v, ca * c, len(u) + after))
     for partner, row in opened.items():
         opened[partner] = tuple(row)
     opened.necklace = None
@@ -159,11 +159,11 @@ def _open(rule: BracketRule, e) -> _Opening:
 
 def _necklace_view(rule: BracketRule, opened: _Opening) -> tuple:
     """The opening as necklace_bracket reads it, built once per opening:
-    (rows, den, decode).  rows maps each partner letter to its words as
-    code strings (see necklace_bracket), merged by string, with their
+    (rows, den, decode, long).  rows maps each partner letter to its words
+    as code strings (see necklace_bracket), merged by string, with their
     coefficients summed, the zero sums dropped and the rest cleared to
-    integers over the one common denominator den; decode maps each
-    generator's character back to its Letter."""
+    integers over one common denominator den; decode maps each generator's
+    character back to its Letter; long: some word has more than one letter."""
     view = opened.necklace
     if view is None:
         merged = {}
@@ -177,10 +177,10 @@ def _necklace_view(rule: BracketRule, opened: _Opening) -> tuple:
         den = lcm(*(c.denominator for row in merged.values() for _, c in row))
         rows = {
             partner: tuple([(k, c.numerator * (den // c.denominator)) for k, c in row])
-            for partner, row in merged.items()
-            if row
+            for partner, row in merged.items() if row
         }
-        view = opened.necklace = (rows, den, {chr(a): a for a in rule.generators})
+        long = any(len(k) > 1 for row in rows.values() for k, _ in row)
+        view = opened.necklace = (rows, den, {chr(a): a for a in rule.generators}, long)
     return view
 
 
@@ -220,15 +220,15 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     and only the nonzero sums are canonicalized, summed by necklace and
     divided by the denominator: many collapsed words cancel before that.
 
-    Keyed from the first letter of b, the words break only the link from
-    the last position back to 0.  So at the last position only, a word whose
-    middle u . a_>p . a_<p . v begins with b_q is keyed from after that
-    letter, and meets the same word from q = 0 as the same string.
+    Words are keyed from the first letter of b, except at the last position
+    a word whose middle u . a_>p . a_<p . v begins with b_q: from after it.
+    Then each word b added, read back from the dict's end, that begins or
+    ends with b merges into its rotation by len(b) if that sum is nonzero.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    rows, den, decode = _necklace_view(rule, _open(rule, e1))
+    rows, den, decode, long = _necklace_view(rule, _open(rule, e1))
     # e2's coefficients over one common denominator too, so the sums stay in
     # int; its words become code strings, as the view's rows are
     den2 = lcm(*(c.denominator for c in e2.terms.values()))
@@ -237,7 +237,7 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
         rule.check_letters(n)
         c2 = c2.numerator * (den2 // c2.denominator)
         code = "".join(map(chr, n))
-        last = len(code) - 1
+        size, last, mark = len(code), len(code) - 1, len(out)
         for q, bq in enumerate(n):
             row = rows.get(bq)
             if row:
@@ -253,6 +253,14 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
                     for middle, c in row:
                         k = middle[1:] + code if middle[:1] == ch else head + middle
                         out[k] = out.get(k, 0) + c * c2
+        for k, c in islice(reversed(out.items()), len(out) - mark) if long else ():
+            if c:
+                cut = size if k.startswith(code) else -size if k.endswith(code) else 0
+                if cut:
+                    k2 = k[cut:] + k[:cut]
+                    if k2 != k and out.get(k2):
+                        out[k2] += c
+                        out[k] = 0
     sums: dict = {}
     for k, c in out.items():
         if c:
@@ -260,15 +268,11 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
             sums[k] = sums.get(k, 0) + c
     den *= den2
     # decode from a list: a tuple built from an iterator of unknown length
-    # regrows a temporary, and the tuple free lists keep the regrown ones,
-    # which raised the peak RSS of decompose
-    return NecklaceElement(
-        {
-            Necklace._unchecked([decode[ch] for ch in k]): c if den == 1 else Fraction(c, den)
-            for k, c in sums.items()
-            if c
-        }
-    )
+    # regrows a temporary that the tuple free lists keep (decompose's peak RSS)
+    return NecklaceElement({
+        Necklace._unchecked([decode[ch] for ch in k]): c if den == 1 else Fraction(c, den)
+        for k, c in sums.items() if c
+    })
 
 
 def _splice(out: dict, a: Word, b: Word, c) -> None:
@@ -330,12 +334,9 @@ def verify_loday_properties(rule: BracketRule, a, b, c) -> tuple[bool, bool]:
     """(Loday identity holds, {[a,b], c}_L == 0) for the given triple."""
     a, b, c = _as_free(a), _as_free(b), _as_free(c)
     lhs = loday_bracket(rule, a, loday_bracket(rule, b, c))
-    rhs = loday_bracket(rule, loday_bracket(rule, a, b), c) + loday_bracket(
-        rule, b, loday_bracket(rule, a, c)
-    )
-    loday_ok = lhs == rhs
-    comm_ok = loday_bracket(rule, a.commutator(b), c).is_zero
-    return loday_ok, comm_ok
+    ab, ac = loday_bracket(rule, a, b), loday_bracket(rule, a, c)
+    rhs = loday_bracket(rule, ab, c) + loday_bracket(rule, b, ac)
+    return lhs == rhs, loday_bracket(rule, a.commutator(b), c).is_zero
 
 
 def center_element(d: int, n: int) -> NecklaceElement:
@@ -344,9 +345,8 @@ def center_element(d: int, n: int) -> NecklaceElement:
         raise ValueError("n must be >= 0")
     terms = {}
     for i in range(1, d + 1):
-        xi, xis = Word([Letter(i)]), Word([Letter(i, True)])
-        terms[xi * xis] = 1
-        terms[xis * xi] = -1
+        xi, xis = Letter(i), Letter(i, True)
+        terms.update({Word([xi, xis]): 1, Word([xis, xi]): -1})
     return project_to_necklace(FreeElement(terms) ** n)
 
 

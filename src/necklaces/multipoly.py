@@ -10,6 +10,7 @@ order so output is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .elements import _Combination, _power, _signed_sum
@@ -20,14 +21,31 @@ _ONE: Monomial = ()
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
+    """The product of two monomials: each pair of the shorter is merged into
+    the sorted pairs of the longer at the place a binary search finds."""
+    if not (a and b):
+        return a or b
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+        i = bisect_left(out, (name,))  # (name,) sorts first among (name, e)
+        if i < len(out) and out[i][0] == name:
+            out[i] = (name, out[i][1] + e)
+        else:
+            out.insert(i, (name, e))
+    return tuple(out)
+
+
+def _dot(row, col) -> "Polynomial":
+    """sum_k row[k] * col[k] over polynomials, summed into one dict."""
+    out: dict[Monomial, Fraction] = {}
+    for a, b in zip(row, col):
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                m = _mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+    return Polynomial(out)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -89,12 +107,7 @@ class Polynomial(_Combination):
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return Polynomial(out)
+        return _dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -168,11 +181,9 @@ class PolyMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        norm = []
-        for r in rows:
-            norm.append(
-                [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in r]
-            )
+        norm = [
+            [e if isinstance(e, Polynomial) else Polynomial.constant(e) for e in r] for r in rows
+        ]
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "entries", norm)
 
@@ -226,25 +237,14 @@ class PolyMatrix:
         if isinstance(other, (int, Fraction, Polynomial)):
             return PolyMatrix([[e * other for e in row] for row in self.entries])
         self._check(other)
-        n = self.size
         cols = list(zip(*other.entries))
-        return PolyMatrix(
-            [
-                [
-                    sum((a * b for a, b in zip(row, col)), Polynomial.zero())
-                    for col in cols
-                ]
-                for row in self.entries
-            ]
-        )
+        return PolyMatrix([[_dot(row, col) for col in cols] for row in self.entries])
 
     def __pow__(self, k: int):
         return _power(self, k, PolyMatrix.identity(self.size))
 
     def trace(self) -> Polynomial:
-        return sum(
-            (self.entries[i][i] for i in range(self.size)), Polynomial.zero()
-        )
+        return sum((self.entries[i][i] for i in range(self.size)), Polynomial.zero())
 
     def __repr__(self):
         rows = ["[" + ", ".join(map(repr, r)) + "]" for r in self.entries]

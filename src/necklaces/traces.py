@@ -19,9 +19,16 @@ from itertools import product
 from . import brackets, linalg, poisson
 from .elements import _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
-from .poisson import TRACE_GENERATORS as GENERATORS
 from .report import CheckReport
 from .words import Word
+
+
+def __getattr__(name):
+    # GENERATORS is read from poisson when asked for, so that a command that
+    # never calls poisson does not compile it
+    if name == "GENERATORS":
+        return poisson.TRACE_GENERATORS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def generic_matrices(d: int, n: int) -> list[PolyMatrix]:
@@ -80,14 +87,14 @@ def _mats2() -> tuple[PolyMatrix, PolyMatrix]:
     return tuple(generic_matrices(1, 2))
 
 
-# the necklaces whose traces are the five generators, in GENERATORS' order
+# the necklaces whose traces are the five generators, in TRACE_GENERATORS' order
 _TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
 
 
 @lru_cache(maxsize=None)
 def generator_polynomials() -> dict[str, Polynomial]:
     """The five trace generators as polynomials in the 8 indeterminates."""
-    return {g: trace_of(w, _mats2()) for g, w in zip(GENERATORS, _TABLE2_NECKLACES)}
+    return {g: trace_of(w, _mats2()) for g, w in zip(poisson.TRACE_GENERATORS, _TABLE2_NECKLACES)}
 
 
 def table2() -> poisson.PoissonPolyAlgebra:
@@ -103,7 +110,7 @@ def table2() -> poisson.PoissonPolyAlgebra:
         ]
         for a in _TABLE2_NECKLACES
     ]
-    return poisson.PoissonPolyAlgebra(GENERATORS, cells)
+    return poisson.PoissonPolyAlgebra(poisson.TRACE_GENERATORS, cells)
 
 
 def express_in_trace_generators(e) -> Polynomial:
@@ -116,9 +123,10 @@ def express_in_trace_generators(e) -> Polynomial:
     if top > 4:
         raise ValueError(f"degree {top} exceeds the rewriting bound 4")
     # tr(x) and tr(x*) weigh 1, the other three generators 2
+    names = poisson.TRACE_GENERATORS
     monomials = [
-        tuple(sorted((g, k) for g, k in zip(GENERATORS, exps) if k))
-        for exps in product(range(top + 1), repeat=len(GENERATORS))
+        tuple(sorted((g, k) for g, k in zip(names, exps) if k))
+        for exps in product(range(top + 1), repeat=len(names))
         if exps[0] + exps[1] + 2 * sum(exps[2:]) <= top
     ]
     gens = generator_polynomials()
@@ -174,7 +182,7 @@ def stated_casimir_expression() -> Polynomial:
     """The stated generator expression for tr(x^2(x*)^2) - tr((xx*)^2):
     tr(x)tr(x*)tr(xx*) - tr(xx*)^2 + tr(x^2)tr((x*)^2)
     - (tr(x^2)tr(x*)^2 + tr(x)^2 tr((x*)^2))/2."""
-    t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in GENERATORS)
+    t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in poisson.TRACE_GENERATORS)
     return t1 * t2 * t5 - t5 * t5 + t3 * t4 - (t3 * t2 * t2 + t1 * t1 * t4) / 2
 
 

@@ -317,6 +317,26 @@ def test_kontsevich_matches_necklace_bracket_over_coprime_denominators():
     assert nonzero > 30
 
 
+def test_kontsevich_matches_necklace_bracket_on_multi_term_elements():
+    """After each right-hand necklace n, the kernel merges a collapsed word
+    that starts or ends with n into its rotation by len(n) when that one
+    holds a nonzero sum too.  Multi-term elements of degree <= 6 on both
+    sides give such pairs, also words that are their own rotation (x1*
+    against the right-hand x1* of the first pair below), so a merge that
+    drops or doubles a sum shows against the splice oracle."""
+    r = rng(41)
+    pairs = [(parse_element("x1x1* + 2*x1x1x1x1x1*"), parse_element("3*x1* + 3*x1x1*"), 1)]
+    for i in range(400):
+        d = 1 + i % 2
+        pairs.append((*(_sampled_necklace_element(r, letters(d), 4, 6) for _ in "ab"), d))
+    nonzero = 0
+    for e1, e2, d in pairs:
+        got = necklace_bracket(BracketRule.canonical(d), e1, e2)
+        nonzero += bool(got)
+        assert got == kontsevich_bracket(e1, e2, d), (e1, e2)
+    assert nonzero > 300
+
+
 def test_integral_coefficients_are_stored_as_int():
     """A sum over a common denominator that divides out is an int, not a
     Fraction with denominator 1."""
@@ -350,7 +370,7 @@ def test_an_ngl_opening_that_merges_rows():
     })
     _open.cache_clear()
     opened = _open(rule, left)
-    rows, den, decode = _necklace_view(rule, opened)
+    rows, den, decode, _ = _necklace_view(rule, opened)
     assert sum(map(len, rows.values())) < sum(map(len, opened.values()))
     # e11e11's two openings sum its 1/2 to whole numbers, so only the 3 is left
     assert den == 3 and all(type(c) is int for row in rows.values() for _, c in row)
@@ -385,7 +405,7 @@ def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket
     gens = rule.generators  # e11, e12, ... as x1, x2, ...
     singles = [NecklaceElement.of(Word([g])) for g in gens]
     left = _sampled_necklace_element(r, gens) + NecklaceElement.of(Word(gens[:2]))
-    rows, _, _ = _necklace_view(rule, _open(rule, left))
+    rows, _, _, _ = _necklace_view(rule, _open(rule, left))
     assert any(k[:1] == chr(partner) for partner, row in rows.items() for k, _ in row)
     rights = singles + [_sampled_necklace_element(r, gens) for _ in range(30)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]

@@ -95,8 +95,9 @@ def _modules_run(argv):
             {"counting", "report", "sampling", "traces", "sl2", "linalg", "linear_rules"},
         ),
         (["verify", "casimir"], {"brackets", "sampling", "traces"}),
+        (["center", "1", "6", "8"], {"poisson"}),
     ],
-    ids=["build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir"],
+    ids=["build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir", "center_1"],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, not_run):
     exit_code, ran = _modules_run(argv)

@@ -90,18 +90,26 @@ def test_necklace_bracket_canonicalizes_through_its_module_binding(monkeypatch):
     """install() counts canonical rotations by rebinding canonical_rotation
     in every necklaces module that binds it.  The necklace bracket must call
     it through the binding in brackets, or the traced
-    words.canonical_rotation metrics on center read 0."""
+    words.canonical_rotation metrics on center read 0.  {x x, x* x* x} does
+    not cancel, so its nonzero sums must be canonicalized."""
     calls = _counted_rotations(monkeypatch)
-    assert importlib.import_module("necklaces.brackets").center_check(2, 2, 4).ok
+    brackets = importlib.import_module("necklaces.brackets")
+    assert brackets.necklace_bracket(brackets.BracketRule.canonical(1), "xx", "x*x*x")
     assert calls
 
 
 def test_center_check_canonicalizes_few_of_the_words_that_cancel(monkeypatch):
     """Work guard.  {c_n, -} acts as a commutator, so its collapsed words
     cancel from each position to the next, and from the last position back
-    to the first once the kernel keys that pair as one string.  Then 848
-    words of center_check(2, 3, 4) reach canonical_rotation, against 3,424
-    when the pair is keyed as two rotations of one word."""
+    to the first once the kernel keys that pair as one string.  Words that
+    are still two rotations of one word are merged after each right-hand
+    necklace, so no word of center_check(2, 3, 4) reaches canonical_rotation
+    (3,424 with each word keyed from the first letter of the right-hand
+    necklace alone, 848 with the last position rekeyed alone), and at most
+    38 of center_check(1, 6, 8) do (2,922 with the rekey alone)."""
     calls = _counted_rotations(monkeypatch)
-    assert importlib.import_module("necklaces.brackets").center_check(2, 3, 4).ok
-    assert 0 < len(calls) <= 848
+    brackets = importlib.import_module("necklaces.brackets")
+    assert brackets.center_check(2, 3, 4).ok
+    assert len(calls) == 0
+    assert brackets.center_check(1, 6, 8).ok
+    assert len(calls) <= 38
