@@ -21,14 +21,15 @@ center check, a against every term of {{b, c}} in a double Jacobi check.
 _open checks the letters of each term it opens, so a kept opening is not
 checked again, and each walk checks each word of the second argument.
 
-necklace_bracket reads the kept opening through its necklace view
-(_necklace_view), merged integer rows of code strings, one character
-chr(code) per letter.  It never builds a free-algebra element: it sums its
-collapsed words as code strings in int and decodes into Letters only the
-necklaces whose sums stay nonzero.  A code must be a code point, so a
-rule's letters stop at x557056.  {c_n, -} acts as a commutator with a
-fixed element, so its collapsed words cancel in pairs; a pair keyed as
-two rotations of one word, one turn of the right word apart, merges first.
+necklace_bracket reads the opening through its necklace view
+(_necklace_view), kept like the opening in a one-slot cache of its own:
+merged integer rows of code strings, one character chr(code) per letter.
+It never builds a free-algebra element: it sums its collapsed words as code
+strings in int and decodes into Letters only the necklaces whose sums stay
+nonzero.  A code must be a code point, so a rule's letters stop at x557056.
+{c_n, -} acts as a commutator with a fixed element, so its collapsed words
+cancel in pairs; a pair keyed as two rotations of one word, one turn of the
+right word apart, merges first.
 """
 
 from __future__ import annotations
@@ -125,24 +126,17 @@ class BracketRule:
             raise ValueError(f"letter {a.name} is not a generator of this rule")
 
 
-class _Opening(dict):
-    """partner letter -> rows (see _open), with its necklace view, None until
-    _necklace_view builds it."""
-
-    __slots__ = ("necklace",)
-
-
 @lru_cache(maxsize=1)
-def _open(rule: BracketRule, e) -> _Opening:
+def _open(rule: BracketRule, e) -> dict:
     """e opened at each letter a_p, once per term u (x) v of each partner b_q:
     b_q -> ((w, c_a * c, cut), ...) with w = u . a_>p . a_<p . v and
     cut = len(u . a_>p).
 
     Each term's letters are checked as it is opened.  Kept for the last
-    (rule, e), the rule by identity and e by content, together with its
-    necklace view; elements are immutable and the walks only read the rows.
+    (rule, e), the rule by identity and e by content; elements are
+    immutable and the walks only read the rows.
     """
-    opened = _Opening()
+    opened: dict = {}
     for a, ca in e.terms.items():
         rule.check_letters(a)
         for p, ap in enumerate(a):
@@ -151,37 +145,31 @@ def _open(rule: BracketRule, e) -> _Opening:
                 row = opened.setdefault(partner, [])
                 for (u, v), c in terms:
                     row.append((u + rest + v, ca * c, len(u) + after))
-    for partner, row in opened.items():
-        opened[partner] = tuple(row)
-    opened.necklace = None
-    return opened
+    return {partner: tuple(row) for partner, row in opened.items()}
 
 
-def _necklace_view(rule: BracketRule, opened: _Opening) -> tuple:
-    """The opening as necklace_bracket reads it, built once per opening:
-    (rows, den, decode, long).  rows maps each partner letter to its words
-    as code strings (see necklace_bracket), merged by string, with their
-    coefficients summed, the zero sums dropped and the rest cleared to
-    integers over one common denominator den; decode maps each generator's
-    character back to its Letter; long: some word has more than one letter."""
-    view = opened.necklace
-    if view is None:
-        merged = {}
-        for partner, row in opened.items():
-            sums: dict = {}
-            for w, c, _ in row:
-                k = "".join(map(chr, w))
-                sums[k] = sums.get(k, 0) + c
-            merged[partner] = [(k, c) for k, c in sums.items() if c]
-        # an int is its own numerator over the denominator 1
-        den = lcm(*(c.denominator for row in merged.values() for _, c in row))
-        rows = {
-            partner: tuple([(k, c.numerator * (den // c.denominator)) for k, c in row])
-            for partner, row in merged.items() if row
-        }
-        long = any(len(k) > 1 for row in rows.values() for k, _ in row)
-        view = opened.necklace = (rows, den, {chr(a): a for a in rule.generators}, long)
-    return view
+@lru_cache(maxsize=1)
+def _necklace_view(rule: BracketRule, e) -> tuple:
+    """_open(rule, e) as necklace_bracket reads it: (rows, den, decode).
+    rows maps each partner letter to its words as code strings (see
+    necklace_bracket), merged by string, with their coefficients summed, the
+    zero sums dropped and the rest cleared to integers over one common
+    denominator den; decode maps each generator's character back to its
+    Letter.  Kept for the last (rule, e), keyed as _open is."""
+    merged = {}
+    for partner, row in _open(rule, e).items():
+        sums: dict = {}
+        for w, c, _ in row:
+            k = "".join(map(chr, w))
+            sums[k] = sums.get(k, 0) + c
+        merged[partner] = [(k, c) for k, c in sums.items() if c]
+    # an int is its own numerator over the denominator 1
+    den = lcm(*(c.denominator for row in merged.values() for _, c in row))
+    rows = {
+        partner: tuple([(k, c.numerator * (den // c.denominator)) for k, c in row])
+        for partner, row in merged.items() if row
+    }
+    return rows, den, {chr(a): a for a in rule.generators}
 
 
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:
@@ -222,13 +210,13 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
 
     Words are keyed from the first letter of b, except at the last position
     a word whose middle u . a_>p . a_<p . v begins with b_q: from after it.
-    Then each word b added, read back from the dict's end, that begins or
-    ends with b merges into its rotation by len(b) if that sum is nonzero.
+    Then each word b added, read back from the dict's end, that begins with
+    b merges into its rotation by len(b) if that sum is nonzero.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    rows, den, decode, long = _necklace_view(rule, _open(rule, e1))
+    rows, den, decode = _necklace_view(rule, e1)
     # e2's coefficients over one common denominator too, so the sums stay in
     # int; its words become code strings, as the view's rows are
     den2 = lcm(*(c.denominator for c in e2.terms.values()))
@@ -253,14 +241,12 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
                     for middle, c in row:
                         k = middle[1:] + code if middle[:1] == ch else head + middle
                         out[k] = out.get(k, 0) + c * c2
-        for k, c in islice(reversed(out.items()), len(out) - mark) if long else ():
-            if c:
-                cut = size if k.startswith(code) else -size if k.endswith(code) else 0
-                if cut:
-                    k2 = k[cut:] + k[:cut]
-                    if k2 != k and out.get(k2):
-                        out[k2] += c
-                        out[k] = 0
+        for k, c in islice(reversed(out.items()), len(out) - mark):
+            if c and k.startswith(code):
+                k2 = k[size:] + code
+                if k2 != k and out.get(k2):
+                    out[k2] += c
+                    out[k] = 0
     sums: dict = {}
     for k, c in out.items():
         if c:

@@ -95,10 +95,13 @@ def binary_necklace_count(n: int, m: int) -> int:
     return total
 
 
-def _prenecklace_walk(k: int, n: int, visit):
-    """FKM traversal; calls visit(a) for each necklace, in lex order, with the
-    necklace's symbols in a[1:].  The list a is reused from call to call."""
-    a = [0] * (n + 1)
+def _prenecklace_walk(d: int, n: int, visit):
+    """FKM traversal of the necklaces of length n on 2d symbols; calls
+    visit(a) for each, in lex order, with its symbols in a[1:].  The list a
+    is reused from call to call."""
+    if d < 1 or n < 0:
+        raise ValueError("need d >= 1 and n >= 0")
+    k, a = 2 * d, [0] * (n + 1)
 
     def gen(t, p):
         if t > n:
@@ -116,8 +119,6 @@ def _prenecklace_walk(k: int, n: int, visit):
 
 def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
     """All canonical necklaces of degree n on 2d letters, sorted."""
-    if d < 1 or n < 0:
-        raise ValueError("need d >= 1 and n >= 0")
     out: list[Necklace] = []
     letters = [Letter.from_code(c) for c in range(2 * d)]
 
@@ -125,7 +126,7 @@ def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
         # the walk visits canonical words only
         out.append(Necklace._unchecked([letters[s] for s in a[1:]]))
 
-    _prenecklace_walk(2 * d, n, visit)
+    _prenecklace_walk(d, n, visit)
     return out
 
 
@@ -137,5 +138,5 @@ def necklace_count_by_enumeration(d: int, n: int) -> int:
         nonlocal count
         count += 1
 
-    _prenecklace_walk(2 * d, n, visit)
+    _prenecklace_walk(d, n, visit)
     return count

@@ -104,12 +104,12 @@ def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
     Returns None if the system is inconsistent; raises if the solution is
     not unique.
     """
-    ncols = len(a[0]) if a else 0
     # b is column 0, below the unknowns 1..ncols, so it leads only in a row
     # that reads 0 = nonzero
     pivots = _eliminate(
         [(0, bi), *((c + 1, v) for c, v in _entries(row))] for row, bi in zip(a, b, strict=True)
     )
+    ncols = a[0].width if a else 0
     if 0 in pivots:
         return None
     if len(pivots) < ncols:

@@ -163,12 +163,10 @@ class Polynomial(_Combination):
 
 
 def symplectic_poisson(f: Polynomial, g: Polynomial, pairs) -> Polynomial:
-    """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i) for (q_i, p_i) pairs."""
-    out: dict[Monomial, Fraction] = {}
-    for q, p in pairs:
-        for m, c in (f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)).terms.items():
-            out[m] = out.get(m, 0) + c
-    return Polynomial(out)
+    """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i) for a sequence of
+    (q_i, p_i) pairs."""
+    fd = [d for q, p in pairs for d in (f.diff(q), -f.diff(p))]
+    return _dot(fd, [d for q, p in pairs for d in (g.diff(p), g.diff(q))])
 
 
 class PolyMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .multipoly import Polynomial, PolyMatrix
+from .multipoly import Polynomial, PolyMatrix, _dot
 from .report import CheckReport
 
 
@@ -64,18 +64,9 @@ class PoissonPolyAlgebra:
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """{f, g} = sum_{i,j} df/dg_i dg/dg_j {g_i, g_j}."""
-        out: dict = {}
         fd = [f.diff(name) for name in self.generators]
         gd = [g.diff(name) for name in self.generators]
-        for i, fi in enumerate(fd):
-            if fi.is_zero:
-                continue
-            for j, gj in enumerate(gd):
-                if gj.is_zero or self.table[i][j].is_zero:
-                    continue
-                for m, c in (fi * gj * self.table[i][j]).terms.items():
-                    out[m] = out.get(m, 0) + c
-        return Polynomial(out)
+        return _dot(fd, [_dot(gd, row) for row in self.table])
 
 
 # --- presets ---------------------------------------------------------------

@@ -7,7 +7,9 @@ n = 2 the trace ring is the polynomial algebra on
     tr(x), tr(x*), tr(x^2), tr((x*)^2), tr(xx*)
 
 and every identity here is an exact polynomial identity in the 8
-matrix-entry indeterminates; the leaves are classified in poisson.
+matrix-entry indeterminates; the leaves are classified in poisson.  The
+generators' names, poisson.TRACE_GENERATORS, are read at call time, so the
+package's deferred loader compiles poisson only for a command that needs it.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .elements import _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .report import CheckReport
 from .words import Word
-
-
-def __getattr__(name):
-    # GENERATORS is read from poisson when asked for, so that a command that
-    # never calls poisson does not compile it
-    if name == "GENERATORS":
-        return poisson.TRACE_GENERATORS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def generic_matrices(d: int, n: int) -> list[PolyMatrix]:

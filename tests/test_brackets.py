@@ -368,21 +368,20 @@ def test_an_ngl_opening_that_merges_rows():
         Necklace.of(Word([e12, e21])): Fraction(-2, 3),
         Necklace.of(Word([e11, e12, e21])): 5,
     })
-    _open.cache_clear()
-    opened = _open(rule, left)
-    rows, den, decode, _ = _necklace_view(rule, opened)
-    assert sum(map(len, rows.values())) < sum(map(len, opened.values()))
+    _necklace_view.cache_clear()
+    rows, den, decode = _necklace_view(rule, left)
+    assert sum(map(len, rows.values())) < sum(map(len, _open(rule, left).values()))
     # e11e11's two openings sum its 1/2 to whole numbers, so only the 3 is left
     assert den == 3 and all(type(c) is int for row in rows.values() for _, c in row)
-    assert _necklace_view(rule, opened) is _necklace_view(rule, _open(rule, left))
+    assert _necklace_view(rule, NecklaceElement(dict(left.terms))) is _necklace_view(rule, left)
     assert set(decode.values()) == set(rule.generators)
     r = rng(31)
     rights = [_sampled_necklace_element(r, rule.generators) for _ in range(40)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
     assert sum(map(bool, wants)) > 20
-    _open.cache_clear()
+    _necklace_view.cache_clear()
     assert [necklace_bracket(rule, left, e) for e in rights] == wants
-    assert _open.cache_info().misses == 1
+    assert _necklace_view.cache_info().misses == 1
 
 
 # upper triangular 2x2 matrices on x1 = e11, x2 = e12, x3 = e22
@@ -405,7 +404,7 @@ def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket
     gens = rule.generators  # e11, e12, ... as x1, x2, ...
     singles = [NecklaceElement.of(Word([g])) for g in gens]
     left = _sampled_necklace_element(r, gens) + NecklaceElement.of(Word(gens[:2]))
-    rows, _, _, _ = _necklace_view(rule, _open(rule, left))
+    rows, _, _ = _necklace_view(rule, left)
     assert any(k[:1] == chr(partner) for partner, row in rows.items() for k, _ in row)
     rights = singles + [_sampled_necklace_element(r, gens) for _ in range(30)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
@@ -447,14 +446,14 @@ def test_center_check_full_grid():
     # the whole desk-scale grid; the d=2, n=3 cell is the expensive one
     for d in (1, 2):
         for n in (1, 2, 3):
-            _open.cache_clear()
+            _necklace_view.cache_clear()
             report = center_check(d, n, 6)
             assert report.ok, (d, n, report.failures()[:3])
-            # c_n is opened once and reused for every necklace; c_1 is zero,
-            # and a zero bracket opens nothing
-            opened = int(n > 1)
-            assert _open.cache_info().misses == opened
-            assert _open.cache_info().hits == opened * (len(report.entries) - 1)
+            # c_n is viewed once and reused for every necklace; c_1 is zero,
+            # and a zero bracket views nothing
+            viewed = int(n > 1)
+            assert _necklace_view.cache_info().misses == viewed
+            assert _necklace_view.cache_info().hits == viewed * (len(report.entries) - 1)
 
 
 def test_center_check_reports_violations_for_noncentral(monkeypatch):
@@ -637,9 +636,9 @@ def _left_copy(k: int) -> NecklaceElement:
 
 
 def test_reused_opening_matches_a_fresh_one():
-    """necklace_bracket keeps its last opening of the left argument.  One
-    left element, as equal but distinct copies, interleaved across three
-    rules, agrees call by call with an opening made afresh."""
+    """necklace_bracket keeps its last view of the left argument.  One left
+    element, as equal but distinct copies, interleaved across three rules,
+    agrees call by call with a view made afresh."""
     ngl2 = ngl(2)
     rules = [CANON1, CANON1, CANON2, ngl2, ngl2, CANON1, CANON2, CANON2, ngl2, CANON1] * 3
     r = rng(41)
@@ -647,15 +646,16 @@ def test_reused_opening_matches_a_fresh_one():
     want = []
     for k, (rule, right) in enumerate(calls):
         _open.cache_clear()
+        _necklace_view.cache_clear()
         want.append(necklace_bracket(rule, _left_copy(k), right))
     assert sum(map(bool, want)) > 20
-    _open.cache_clear()
+    _necklace_view.cache_clear()
     got = [necklace_bracket(rule, _left_copy(k), right) for k, (rule, right) in enumerate(calls)]
     assert got == want
-    # a new opening exactly where the rule changes; equal copies hit
+    # a new view exactly where the rule changes; equal copies hit
     changes = 1 + sum(a is not b for a, b in zip(rules, rules[1:]))
-    assert _open.cache_info().misses == changes
-    assert _open.cache_info().hits == len(rules) - changes
+    assert _necklace_view.cache_info().misses == changes
+    assert _necklace_view.cache_info().hits == len(rules) - changes
     # the same run through double_bracket, which reads the same opening,
     # against the per-pair scan summed over the term pairs
     _open.cache_clear()
@@ -696,20 +696,21 @@ def test_left_extend_opens_its_element_once():
 
 
 def test_letters_are_checked_on_a_cache_hit():
-    """A hit on the last opening skips only the check of the first argument,
-    which the same rule passed when it was opened; the second argument is
-    checked on every call, by both walks."""
-    for bracket in (necklace_bracket, double_bracket):
+    """A hit on the last opening, or on the last necklace view, skips only
+    the check of the first argument, which the same rule passed when it was
+    opened; the second argument is checked on every call, by both walks."""
+    for bracket, cache in ((necklace_bracket, _necklace_view), (double_bracket, _open)):
         _open.cache_clear()
+        _necklace_view.cache_clear()
         bracket(CANON2, "x1x2*", "x1*x2")
         with pytest.raises(ValueError, match="x10"):
             bracket(CANON2, "x1x2*", "x10")
-        assert _open.cache_info().hits == 1
+        assert cache.cache_info().hits == 1
         # a first argument that fails its check is never kept
         for _ in range(2):
             with pytest.raises(ValueError, match="x2"):
                 bracket(CANON1, "x1x2*", "x1*")
-        assert _open.cache_info().hits == 1
+        assert cache.cache_info().hits == 1
 
 
 def test_a_kept_opening_is_not_checked_again(monkeypatch):

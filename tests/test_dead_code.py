@@ -2,8 +2,9 @@
 __init__.py) uses each name it imports, and every module-level _private
 function, class or constant is referenced somewhere in the package; the
 same holds for the tests and the demos, checked as a second set.  No
-module under src/necklaces holds an assert, which python -O strips, and
-cli.py builds no CheckReport: the checks live in the library."""
+module under src/necklaces holds an assert, which python -O strips, or a
+module-level __getattr__ besides the package loader's, and cli.py builds no
+CheckReport: the checks live in the library."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,18 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert len(paths) > 10 and not found, found
+
+
+def test_deferred_loading_lives_in_the_package_loader_alone():
+    """Only __init__.py defers a name with a module-level __getattr__; a
+    module reads another module's names through the package's loader."""
+    found = [
+        p.name
+        for p in SOURCES
+        for node in ast.parse(p.read_text(), filename=str(p)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert not found, found
 
 
 def test_the_cli_makes_no_check_report():

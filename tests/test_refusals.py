@@ -21,6 +21,7 @@ from necklaces import (
     gl_constants,
     lyndon_count,
     multiplicity_formula,
+    necklace_count_by_enumeration,
     necklace_dimension,
     ngl,
     sl2_heisenberg_algebra,
@@ -84,6 +85,12 @@ REFUSALS = {
     "lyndon_count": (lambda: lyndon_count(0, 0), ValueError, "length must be >= 1"),
     "enumerate_necklaces": (
         lambda: list(enumerate_necklaces(0, 1)), ValueError, "need d >= 1 and n >= 0",
+    ),
+    "count_by_enumeration_d": (
+        lambda: necklace_count_by_enumeration(0, 3), ValueError, "need d >= 1 and n >= 0",
+    ),
+    "count_by_enumeration_n": (
+        lambda: necklace_count_by_enumeration(1, -1), ValueError, "need d >= 1 and n >= 0",
     ),
     "tensor_multiplicity": (lambda: tensor_multiplicity(3, 2), ValueError, "need 0 <= m <= n/2"),
     "multiplicity_formula": (lambda: multiplicity_formula(0, 0), ValueError, "n must be >= 1"),

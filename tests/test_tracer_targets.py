@@ -103,13 +103,15 @@ def test_center_check_canonicalizes_few_of_the_words_that_cancel(monkeypatch):
     cancel from each position to the next, and from the last position back
     to the first once the kernel keys that pair as one string.  Words that
     are still two rotations of one word are merged after each right-hand
-    necklace, so no word of center_check(2, 3, 4) reaches canonical_rotation
-    (3,424 with each word keyed from the first letter of the right-hand
-    necklace alone, 848 with the last position rekeyed alone), and at most
-    38 of center_check(1, 6, 8) do (2,922 with the rekey alone)."""
+    necklace, so no word of center_check(2, 3, 4) or (2, 3, 6) reaches
+    canonical_rotation (3,424 and 32,476 with each word keyed from the first
+    letter of the right-hand necklace alone, 848 and 8,108 with the last
+    position rekeyed alone), and at most 38 of center_check(1, 6, 8) do
+    (2,922 with the rekey alone)."""
     calls = _counted_rotations(monkeypatch)
     brackets = importlib.import_module("necklaces.brackets")
     assert brackets.center_check(2, 3, 4).ok
+    assert brackets.center_check(2, 3, 6).ok
     assert len(calls) == 0
     assert brackets.center_check(1, 6, 8).ok
     assert len(calls) <= 38

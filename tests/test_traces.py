@@ -7,10 +7,9 @@ from necklaces.brackets import BracketRule, center_element, necklace_bracket
 from necklaces.counting import enumerate_necklaces
 from necklaces.elements import FreeElement, Necklace, NecklaceElement
 from necklaces.multipoly import Polynomial, PolyMatrix, symplectic_poisson
-from necklaces.poisson import PoissonPolyAlgebra, classify_point
+from necklaces.poisson import TRACE_GENERATORS, PoissonPolyAlgebra, classify_point
 from necklaces.sampling import random_word, rng
 from necklaces.traces import (
-    GENERATORS,
     casimir_image,
     casimir_image_as_displayed,
     casimir_polynomial,
@@ -27,7 +26,7 @@ from necklaces.traces import (
 )
 from necklaces.words import letters
 
-T1, T2, T3, T4, T5 = (Polynomial.variable(g) for g in GENERATORS)
+T1, T2, T3, T4, T5 = (Polynomial.variable(g) for g in TRACE_GENERATORS)
 Z = Polynomial.zero()
 
 # bracket table of the five generators; rows bracket columns
@@ -161,7 +160,7 @@ def test_bracket_beyond_degree_two_follows_the_table():
 def test_table2_matches_expected_and_antisymmetric():
     t = table2()
     assert isinstance(t, PoissonPolyAlgebra)  # antisymmetry and Jacobi checked
-    assert t.generators == GENERATORS
+    assert t.generators == TRACE_GENERATORS
     for i in range(5):
         for j in range(5):
             assert t.table[i][j] == EXPECTED_TABLE2[i][j], (i, j)
