@@ -8,9 +8,11 @@ One kernel serves rank and solve: each row is cleared of denominators to a
 primitive integer row, stored sparse as {column: int}, and reduced
 fraction-free against the pivot rows found so far.  A row leads at its
 highest nonzero column; on the sl2 E-action blocks this keeps the pivot rows
-far sparser, with smaller entries, than leading at the lowest.  Every step
-stays in the integers and every answer is exact; only the back-substitution
-of solve_unique returns to Fractions.
+far sparser, with smaller entries, than leading at the lowest.  Once there
+are as many pivots as columns, the rank can grow no more, so later rows are
+only read, not reduced: each still goes through the same refusals.  Every
+step stays in the integers and every answer is exact; only the
+back-substitution of solve_unique returns to Fractions.
 """
 
 from __future__ import annotations
@@ -61,17 +63,20 @@ def _integer_row(entries) -> dict[int, int]:
     return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
 
 
-def _eliminate(rows) -> dict[int, dict[int, int]]:
-    """Echelon form of the rows, each given as its (column, value) pairs, as
-    pivot rows keyed by leading column, the highest column with a nonzero
-    entry.
+def _eliminate(rows, width: int) -> dict[int, dict[int, int]]:
+    """Echelon form of the rows, each given as its (column, value) pairs in
+    columns 0..width-1, as pivot rows keyed by leading column, the highest
+    column with a nonzero entry.
 
     Each row is reduced by row = a*row - b*pivot at its leading column until
-    that column has no pivot yet (it becomes one) or the row vanishes.
+    that column has no pivot yet (it becomes one) or the row vanishes.  With
+    a pivot in every column, the rows left are read but not reduced.
     """
     pivots: dict[int, dict[int, int]] = {}
     for entries in rows:
         row = _integer_row(entries)
+        if len(pivots) == width:
+            continue
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -94,7 +99,8 @@ def _eliminate(rows) -> dict[int, dict[int, int]]:
 
 def rank(rows: list) -> int:
     """Rank of SparseRows by exact fraction-free sparse elimination."""
-    return len(_eliminate(map(_entries, rows)))
+    entries = [_entries(row) for row in rows]
+    return len(_eliminate(entries, max((row.width for row in rows), default=0)))
 
 
 def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
@@ -106,10 +112,11 @@ def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
     """
     # b is column 0, below the unknowns 1..ncols, so it leads only in a row
     # that reads 0 = nonzero
-    pivots = _eliminate(
+    rows = [
         [(0, bi), *((c + 1, v) for c, v in _entries(row))] for row, bi in zip(a, b, strict=True)
-    )
+    ]
     ncols = a[0].width if a else 0
+    pivots = _eliminate(rows, ncols + 1)
     if 0 in pivots:
         return None
     if len(pivots) < ncols:

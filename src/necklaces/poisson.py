@@ -63,10 +63,11 @@ class PoissonPolyAlgebra:
         return Polynomial.variable(name)
 
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """{f, g} = sum_{i,j} df/dg_i dg/dg_j {g_i, g_j}."""
-        fd = [f.diff(name) for name in self.generators]
+        """{f, g} = sum_{i,j} df/dg_i dg/dg_j {g_i, g_j}, over the i with
+        df/dg_i nonzero."""
+        fd = [(d, row) for name, row in zip(self.generators, self.table) if (d := f.diff(name))]
         gd = [g.diff(name) for name in self.generators]
-        return _dot(fd, [_dot(gd, row) for row in self.table])
+        return _dot([d for d, _ in fd], [_dot(gd, row) for _, row in fd])
 
 
 # --- presets ---------------------------------------------------------------

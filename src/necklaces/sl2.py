@@ -7,6 +7,11 @@ V_k.  Three independent routes to the multiplicities are implemented:
   * the closed formula (binomials, divisor sums, Moebius function),
   * weight-space dimension counting over the necklace basis,
   * exact ranks of the E-action between adjacent weight spaces.
+
+The last is the oracle for the first, run to DEFAULT_DEGREE_BOUND.  E
+commutes with word reversal, so each E block splits into the +1 and -1
+eigenspaces of reversal and is ranked as two blocks of about half the size;
+every image is still read whole into the target basis.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import linalg, multipoly, traces
+from . import linalg, multipoly, report, traces
 from .brackets import BracketRule, necklace_bracket
 from .counting import binary_necklace_count, binomial, enumerate_necklaces
 from .elements import Necklace, NecklaceElement
-from .report import CheckReport
 
 
 # the sl2 triple (E, F, H) of necklace elements; immutable and hashable
@@ -107,18 +111,59 @@ def weight_basis(n: int) -> dict[int, list[Necklace]]:
     return spaces
 
 
-DEFAULT_DEGREE_BOUND = 14
+DEFAULT_DEGREE_BOUND = 16
+
+
+def _reversal(neck: Necklace) -> Necklace:
+    return Necklace.of(neck[::-1])
+
+
+def _half_row(pair, sign: int, image, columns, partner) -> linalg.SparseRow:
+    """The coordinates of E(n) + sign*E(n^rev), for pair = (n, n^rev) or
+    (n,), on the target's sign-eigenspace of reversal, whose basis vectors
+    m + sign*m^rev are indexed by `columns` at the lesser of m, m^rev."""
+    terms, row = image.terms, {}
+    for m, c in terms.items():
+        if m not in partner or terms.get(partner[m], 0) != sign * c:
+            label = f" {'+' if sign > 0 else '-'} ".join(map(repr, pair))
+            raise ArithmeticError(
+                f"E({label}) leaves the {sign:+d} eigenspace of reversal at {m!r}"
+            )
+        if m in columns:
+            row[columns[m]] = c
+    return linalg.SparseRow(len(columns), row)
 
 
 def _e_action_rank(rule, E, source: list[Necklace], target: list[Necklace]) -> int:
+    """Rank of E from the source weight space to the target one.
+
+    Word reversal maps a weight space to itself and commutes with E, so E
+    preserves its +1 eigenspace, spanned by the n + n^rev, and its -1
+    eigenspace, spanned by the n - n^rev for n not a palindrome.  The rank is
+    the sum of the ranks of the two halves, each a block about half as large.
+    Every term of every image is read: a term outside the target, or a pair
+    (m, m^rev) whose coefficients are not equal (+1) or opposite (-1),
+    raises and names n.
+    """
     if not source or not target:
         return 0
-    index = {neck: i for i, neck in enumerate(target)}
-    rows = []
-    for neck in source:
-        image = necklace_bracket(rule, E, NecklaceElement.of(neck))
-        rows.append(linalg.SparseRow(len(target), {index[out]: c for out, c in image.terms.items()}))
-    return linalg.rank(rows)
+    partner = {m: _reversal(m) for m in target}
+    lesser = [m for m, r in partner.items() if m <= r]
+    plus = {m: i for i, m in enumerate(lesser)}
+    minus = {m: i for i, m in enumerate(m for m in lesser if m != partner[m])}
+    plus_rows, minus_rows = [], []
+    for n in source:
+        r = _reversal(n)
+        if r < n:
+            continue  # read with r
+        image = necklace_bracket(rule, E, NecklaceElement.of(n))
+        if r == n:
+            plus_rows.append(_half_row((n,), 1, image, plus, partner))
+        else:
+            other = necklace_bracket(rule, E, NecklaceElement.of(r))
+            plus_rows.append(_half_row((n, r), 1, image + other, plus, partner))
+            minus_rows.append(_half_row((n, r), -1, image - other, minus, partner))
+    return linalg.rank(plus_rows) + linalg.rank(minus_rows)
 
 
 def decompose_bruteforce(n: int) -> WeightDecomposition:
@@ -156,7 +201,7 @@ def table1(max_degree: int) -> list[WeightDecomposition]:
     return [decompose_by_formula(n) for n in range(1, max_degree + 1)]
 
 
-def check_low_degree_structure(d: int) -> CheckReport:
+def check_low_degree_structure(d: int) -> report.CheckReport:
     """Certify that degree <= 1 is a Heisenberg algebra and degree 2 is
     sp(2d) acting on it: the n = 1 trace map (x_i -> x{i}_11, x_i* ->
     x{i}s_11) sends the 1 + 2d + d(2d+1) necklaces of degree <= 2 to distinct
@@ -167,7 +212,7 @@ def check_low_degree_structure(d: int) -> CheckReport:
     rule = BracketRule.canonical(d)
     mats = traces.generic_matrices(d, 1)
     pairs = [(f"x{i}_11", f"x{i}s_11") for i in range(1, d + 1)]
-    report = CheckReport(f"low-degree structure, d={d}")
+    checks = report.CheckReport(f"low-degree structure, d={d}")
 
     low = [n for k in (0, 1, 2) for n in enumerate_necklaces(d, k)]
     images = {n: traces.trace_of(n, mats) for n in low}
@@ -175,22 +220,22 @@ def check_low_degree_structure(d: int) -> CheckReport:
     monomials = {tuple(t.terms.items()) for t in images.values()}  # ((monomial, 1),) each
     one_each = all(len(m) == 1 and m[0][1] == 1 for m in monomials)
     label = f"n = 1 trace sends the {count} necklaces of degree <= 2 to distinct monomials"
-    report.add(label, one_each and len(low) == count == len(monomials))
+    checks.add(label, one_each and len(low) == count == len(monomials))
     for n1 in low:
         for n2 in low:
             got = necklace_bracket(rule, n1, n2)
             graded = all(k.degree == n1.degree + n2.degree - 2 for k in got.terms)
             pois = multipoly.symplectic_poisson(images[n1], images[n2], pairs)
-            report.add(f"{{{n1!r},{n2!r}}}", graded and traces.trace_of(got, mats) == pois)
+            checks.add(f"{{{n1!r},{n2!r}}}", graded and traces.trace_of(got, mats) == pois)
 
     unit = NecklaceElement.unit()
     necks = (n for k in range(4) for n in enumerate_necklaces(d, k))
     central = all(necklace_bracket(rule, unit, n).is_zero for n in necks)
-    report.add("unit necklace is central", central)
+    checks.add("unit necklace is central", central)
 
     if d == 1:
         g = sl2_generators()
-        report.add("{H,E} = 2E", necklace_bracket(rule, g.H, g.E) == 2 * g.E)
-        report.add("{H,F} = -2F", necklace_bracket(rule, g.H, g.F) == -2 * g.F)
-        report.add("{E,F} = H", necklace_bracket(rule, g.E, g.F) == g.H)
-    return report
+        checks.add("{H,E} = 2E", necklace_bracket(rule, g.H, g.E) == 2 * g.E)
+        checks.add("{H,F} = -2F", necklace_bracket(rule, g.H, g.F) == -2 * g.F)
+        checks.add("{E,F} = H", necklace_bracket(rule, g.E, g.F) == g.H)
+    return checks

@@ -222,7 +222,7 @@ def test_decompose_checks_the_bound_before_the_formula(capsys, monkeypatch):
     monkeypatch.setattr(sl2, "decompose_by_formula", formula)
     assert main(["decompose", "20000"]) == 2
     err = capsys.readouterr().err
-    assert err == "necklaces decompose: error: degree 20000 outside the supported range 1..14\n"
+    assert err == "necklaces decompose: error: degree 20000 outside the supported range 1..16\n"
 
 
 def test_decompose_command(capsys):
@@ -286,7 +286,7 @@ BAD_RULE_FILES = {
 @pytest.mark.parametrize(
     "argv",
     [
-        ["decompose", "15"],
+        ["decompose", "17"],
         ["bracket", "1/0*x", "x"],
         ["classify", "a", "0", "0", "0", "0"],
         ["bracket", "x", "x*", "--rule", "{tmp}/missing.json"],

@@ -52,6 +52,24 @@ def test_dict_rows_are_refused():
             call()
 
 
+def test_rows_after_a_full_rank_prefix_are_still_refused():
+    # the first row fills the one column, so the rank is settled, but every
+    # later row is still read and refused
+    not_a = "a row is a SparseRow, not a "
+    inexact = "coefficient must be exact (int/Fraction), got "
+    full = SparseRow(1, {0: 1})
+    refusals = [
+        (lambda: rank([full, {0: 1}]), not_a + "dict"),
+        (lambda: rank([full, SparseRow(1, {0: 0.5})]), inexact + "float"),
+        (lambda: rank([full, full, SparseRow(1, {0: True})]), inexact + "bool"),
+        (lambda: solve_unique([full, SparseRow(1, {0: 2}), {0: 1}], [1, 3, 1]), not_a + "dict"),
+        (lambda: solve_unique([full, full, SparseRow(1, {0: 0.5})], [1, 2, 1]), inexact + "float"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_rank_deficient_and_wide():
     # third row = first + second, with rational entries
     half = Fraction(1, 2)
@@ -132,6 +150,20 @@ def test_rank_matches_dense_oracle(seed):
     expected = dense_rank(rows)
     assert expected <= independent
     assert rank(sparse_rows(rows)) == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tall_full_rank_matrices_match_dense_oracle(seed):
+    # many more rows than columns and full column rank, so the elimination
+    # stops reducing once every column has a pivot
+    rng = random.Random(800 + seed)
+    ncols = rng.randint(1, 8)
+    rows = random_matrix(rng, ncols + rng.randint(4, 16), ncols, ncols)
+    while dense_rank(rows) < ncols:
+        rows = random_matrix(rng, len(rows), ncols, ncols)
+    assert rank(sparse_rows(rows)) == dense_rank(rows) == ncols
+    # a zero column more: the stop never fires, and the rank is the same
+    assert rank([SparseRow(ncols + 1, row.entries) for row in sparse_rows(rows)]) == ncols
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -67,6 +67,21 @@ def test_bracket_biderivation():
     assert alg.bracket(f, f).is_zero
 
 
+def test_bracket_matches_the_double_sum_when_partials_vanish():
+    # f and g each miss some generators, so some df/dg_i and dg/dg_j are 0
+    alg = sl2_heisenberg_algebra()
+    X, Y, E, F, H = (alg.variable(g) for g in SEMIDIRECT_GENERATORS)
+    polys = [X, 3 * X * Y + Fraction(1, 2), H * H - E, F * X * X + Y, E * F + H]
+    polys.append(Polynomial.constant(7))
+    for f in polys:
+        for g in polys:
+            naive = Polynomial.zero()
+            for i, gi in enumerate(SEMIDIRECT_GENERATORS):
+                for j, gj in enumerate(SEMIDIRECT_GENERATORS):
+                    naive = naive + f.diff(gi) * g.diff(gj) * alg.table[i][j]
+            assert alg.bracket(f, g) == naive, (f, g)
+
+
 def test_semidirect_preset_consistent_with_trace_algebra():
     # substituting the defining identification must transport one table
     # to the other

@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from necklaces import sl2, traces
+from necklaces import linalg, sl2, traces
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import necklace_dimension
 from necklaces.elements import NecklaceElement
@@ -142,7 +143,7 @@ def test_decompose_bounds():
         with pytest.raises(ValueError, match="n must be >= 1"):
             decompose_by_formula(n)
     with pytest.raises(ValueError):
-        decompose_bruteforce(15)
+        decompose_bruteforce(17)
 
 
 def test_low_degree_structure_d1():
@@ -215,3 +216,46 @@ def test_decompose_bruteforce_names_a_rank_disagreement(monkeypatch):
     monkeypatch.setattr(sl2, "_e_action_rank", one_short_at_weight_4)
     with pytest.raises(ArithmeticError, match=r"at degree 8, weight 4$"):
         decompose_bruteforce(8)
+
+
+def unsplit_rank(source, target):
+    """Rank of E on one weight space as a single block, one row per source
+    necklace and one column per target necklace."""
+    rule, E = BracketRule.canonical(1), sl2_generators().E
+    index = {neck: i for i, neck in enumerate(target)}
+    rows = []
+    for neck in source:
+        image = necklace_bracket(rule, E, NecklaceElement.of(neck))
+        rows.append(linalg.SparseRow(len(target), {index[m]: c for m, c in image.terms.items()}))
+    return linalg.rank(rows)
+
+
+def test_reversal_split_rank_equals_the_unsplit_rank():
+    rule, E = BracketRule.canonical(1), sl2_generators().E
+    for n in range(1, 13):
+        spaces = weight_basis(n)
+        for weight in range(-n, n + 1, 2):
+            source, target = spaces.get(weight, []), spaces.get(weight + 2, [])
+            assert sl2._e_action_rank(rule, E, source, target) == unsplit_rank(source, target), (
+                n, weight,
+            )
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_e_action_rank_names_an_image_with_a_term_dropped(monkeypatch, which):
+    # one non-palindromic pair of degree 6, weight 0: drop one term of E
+    # applied to one of its necklaces, the lesser or the greater
+    lesser = next(n for n in weight_basis(6)[0] if sl2._reversal(n) > n)
+    neck = (lesser, sl2._reversal(lesser))[which]
+    real = sl2.necklace_bracket
+
+    def one_term_dropped(rule, a, b):
+        got = real(rule, a, b)
+        if b != NecklaceElement.of(neck):
+            return got
+        first = next(iter(got.terms))
+        return NecklaceElement({m: c for m, c in got.terms.items() if m != first})
+
+    monkeypatch.setattr(sl2, "necklace_bracket", one_term_dropped)
+    with pytest.raises(ArithmeticError, match=re.escape(repr(neck))):
+        decompose_bruteforce(6)
