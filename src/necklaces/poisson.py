@@ -12,6 +12,7 @@ symplectic leaves classify_point tells apart at a point.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .multipoly import Polynomial, PolyMatrix, _dot
 from .report import CheckReport
@@ -19,7 +20,8 @@ from .report import CheckReport
 
 class PoissonPolyAlgebra:
     """A bracket on polynomials in `generators` given by `table`, read as a
-    square PolyMatrix (scalars become constants) with a row per generator."""
+    square PolyMatrix (scalars become constants) with a row per generator,
+    kept as a tuple of tuples, so that an algebra can be shared."""
 
     __slots__ = ("generators", "table")
 
@@ -29,7 +31,7 @@ class PoissonPolyAlgebra:
         if len(entries) != len(gens):
             raise ValueError("table must be square over the generators")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "table", entries)
+        object.__setattr__(self, "table", tuple(map(tuple, entries)))
         self._validate()
 
     def __setattr__(self, name, value):
@@ -104,9 +106,11 @@ def semidirect_coordinates() -> dict[str, Polynomial]:
     return {"X": t2, "Y": -t1, "E": t4 / 2, "F": -t3 / 2, "H": t5}
 
 
+@lru_cache(maxsize=None)
 def sl2_heisenberg_algebra() -> PoissonPolyAlgebra:
     """The trace-generator structure in semidirect_coordinates(), with the
-    central element {X, Y} already evaluated to 2."""
+    central element {X, Y} already evaluated to 2; built and validated once
+    per process, and shared, as the algebra is immutable."""
     x, y, e, f, h = (Polynomial.variable(g) for g in SEMIDIRECT_GENERATORS)
     z = Polynomial.zero()
     table = [

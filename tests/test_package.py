@@ -89,7 +89,7 @@ def _modules_run(argv):
         ([], set(LIBRARY)),
         (["dims", "1", "2"], {"brackets", "traces", "sl2"}),
         (["classify", "1", "2", "3", "4", "5"], {"brackets", "sl2", "traces"}),
-        (["decompose", "5"], {"report", "traces"}),
+        (["decompose", "5"], {"brackets", "report", "traces"}),
         (
             ["bracket", "x", "x*"],
             {"counting", "report", "sampling", "traces", "sl2", "linalg", "linear_rules"},

@@ -166,3 +166,17 @@ def test_primed_generators_shape():
     assert p["E'"] == Polynomial.variable("E") - x * x / 4
     assert p["F'"] == Polynomial.variable("F") + y * y / 4
     assert p["H'"] == Polynomial.variable("H") + x * y / 2
+
+
+def test_the_semidirect_preset_is_built_once_and_shared(monkeypatch):
+    alg = sl2_heisenberg_algebra()
+    assert sl2_heisenberg_algebra() is alg
+    with pytest.raises(TypeError):
+        alg.table[0][0] = Polynomial.variable("X")
+    # verify decoupling and verify casimir validate the table once between them
+    validated = []
+    real = PoissonPolyAlgebra._validate
+    monkeypatch.setattr(PoissonPolyAlgebra, "_validate", lambda a: validated.append(a) or real(a))
+    sl2_heisenberg_algebra.cache_clear()
+    assert change_coordinates().ok and casimir_check().ok
+    assert len(validated) == 1 and validated[0].generators == SEMIDIRECT_GENERATORS

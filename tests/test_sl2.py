@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces import linalg, sl2, traces
+from necklaces import brackets, linalg, sl2, traces
 from necklaces.brackets import BracketRule, necklace_bracket
-from necklaces.counting import necklace_dimension
-from necklaces.elements import NecklaceElement
+from necklaces.counting import enumerate_necklaces, necklace_dimension
+from necklaces.elements import Necklace, NecklaceElement
 from necklaces.multipoly import Polynomial
 from necklaces.sl2 import (
     Sl2Generators,
@@ -19,10 +19,9 @@ from necklaces.sl2 import (
     sl2_generators,
     table1,
     tensor_multiplicity,
-    weight_basis,
     word_weight,
 )
-from necklaces.words import word
+from necklaces.words import canonical_rotation, word
 
 # expected multiplicity table, rows 1..8, keyed degree -> {weight: mult}
 EXPECTED_TABLE = {
@@ -45,8 +44,6 @@ def test_word_weight():
 
 
 def test_h_diagonal_on_basis():
-    from necklaces.counting import enumerate_necklaces
-
     rule = BracketRule.canonical(1)
     H = sl2_generators().H
     for n in range(0, 11):
@@ -122,10 +119,13 @@ def test_abelianization_kernel_grows():
 
 def test_weight_basis_covers_component():
     for n in range(1, 9):
-        spaces = weight_basis(n)
+        spaces = sl2._weight_spaces(n)
         assert sum(len(v) for v in spaces.values()) == necklace_dimension(1, n)
         for w, necks in spaces.items():
-            assert all(word_weight(neck) == w for neck in necks)
+            assert all(word_weight(sl2._necklace(neck)) == w for neck in necks)
+            # each code string is mapped to its reversal's
+            for neck, rev in necks.items():
+                assert sl2._necklace(rev) == Necklace.of(sl2._necklace(neck)[::-1])
 
 
 def test_table1_rows():
@@ -167,8 +167,8 @@ def test_low_degree_structure_d3_has_one_entry_per_pair():
 
 
 def test_low_degree_structure_names_a_pair_when_the_bracket_is_doubled(monkeypatch):
-    real = sl2.necklace_bracket
-    monkeypatch.setattr(sl2, "necklace_bracket", lambda rule, a, b: 2 * real(rule, a, b))
+    real = brackets.necklace_bracket
+    monkeypatch.setattr(brackets, "necklace_bracket", lambda rule, a, b: 2 * real(rule, a, b))
     report = check_low_degree_structure(1)
     failed = [e.label for e in report.failures()]
     assert not report.ok and "{(x1),(x1*)}" in failed and "{(x1x1),(x1*)}" in failed
@@ -209,9 +209,9 @@ def test_decompose_bruteforce_names_a_rank_disagreement(monkeypatch):
     and names the degree and the weight."""
     real = sl2._e_action_rank
 
-    def one_short_at_weight_4(rule, E, source, target):
-        r = real(rule, E, source, target)
-        return r - 1 if source and word_weight(source[0]) == 4 else r
+    def one_short_at_weight_4(source, target):
+        r = real(source, target)
+        return r - 1 if source and word_weight(sl2._necklace(next(iter(source)))) == 4 else r
 
     monkeypatch.setattr(sl2, "_e_action_rank", one_short_at_weight_4)
     with pytest.raises(ArithmeticError, match=r"at degree 8, weight 4$"):
@@ -222,21 +222,20 @@ def unsplit_rank(source, target):
     """Rank of E on one weight space as a single block, one row per source
     necklace and one column per target necklace."""
     rule, E = BracketRule.canonical(1), sl2_generators().E
-    index = {neck: i for i, neck in enumerate(target)}
+    index = {sl2._necklace(neck): i for i, neck in enumerate(target)}
     rows = []
     for neck in source:
-        image = necklace_bracket(rule, E, NecklaceElement.of(neck))
+        image = necklace_bracket(rule, E, NecklaceElement.of(sl2._necklace(neck)))
         rows.append(linalg.SparseRow(len(target), {index[m]: c for m, c in image.terms.items()}))
     return linalg.rank(rows)
 
 
 def test_reversal_split_rank_equals_the_unsplit_rank():
-    rule, E = BracketRule.canonical(1), sl2_generators().E
     for n in range(1, 13):
-        spaces = weight_basis(n)
+        spaces = sl2._weight_spaces(n)
         for weight in range(-n, n + 1, 2):
-            source, target = spaces.get(weight, []), spaces.get(weight + 2, [])
-            assert sl2._e_action_rank(rule, E, source, target) == unsplit_rank(source, target), (
+            source, target = spaces.get(weight, {}), spaces.get(weight + 2, {})
+            assert sl2._e_action_rank(source, target) == unsplit_rank(source, target), (
                 n, weight,
             )
 
@@ -245,17 +244,50 @@ def test_reversal_split_rank_equals_the_unsplit_rank():
 def test_e_action_rank_names_an_image_with_a_term_dropped(monkeypatch, which):
     # one non-palindromic pair of degree 6, weight 0: drop one term of E
     # applied to one of its necklaces, the lesser or the greater
-    lesser = next(n for n in weight_basis(6)[0] if sl2._reversal(n) > n)
-    neck = (lesser, sl2._reversal(lesser))[which]
-    real = sl2.necklace_bracket
+    space = sl2._weight_spaces(6)[0]
+    lesser = next(n for n, r in space.items() if r > n)
+    code = (lesser, space[lesser])[which]
+    neck = sl2._necklace(code)
+    real = sl2._e_image
 
-    def one_term_dropped(rule, a, b):
-        got = real(rule, a, b)
-        if b != NecklaceElement.of(neck):
+    def one_term_dropped(n):
+        got = real(n)
+        if n != code:
             return got
-        first = next(iter(got.terms))
-        return NecklaceElement({m: c for m, c in got.terms.items() if m != first})
+        first = next(iter(got))
+        return {m: c for m, c in got.items() if m != first}
 
-    monkeypatch.setattr(sl2, "necklace_bracket", one_term_dropped)
+    monkeypatch.setattr(sl2, "_e_image", one_term_dropped)
     with pytest.raises(ArithmeticError, match=re.escape(repr(neck))):
         decompose_bruteforce(6)
+
+
+def assert_e_image_is_the_bracket(e_image):
+    """e_image(code) equals {E, n} by necklace_bracket for every d = 1
+    necklace n of degree 1..16, the oracle's bound, read in code strings; a
+    mismatch names n."""
+    rule, E = BracketRule.canonical(1), sl2_generators().E
+    for k in range(1, sl2.DEFAULT_DEGREE_BOUND + 1):
+        for neck in enumerate_necklaces(1, k):
+            got = {m: c for m, c in e_image("".join(map(chr, neck))).items() if c}
+            want = necklace_bracket(rule, E, NecklaceElement.of(neck))
+            assert got == {"".join(map(chr, m)): c for m, c in want.terms.items()}, neck
+
+
+def test_e_image_is_the_bracket_with_e_to_the_oracle_bound():
+    # the oracle applies E by substitution; this pins it to the bracket
+    # for every necklace the oracle reads
+    assert_e_image_is_the_bracket(sl2._e_image)
+
+
+def test_e_image_check_names_a_necklace_when_the_last_position_is_skipped():
+    def last_position_skipped(code):
+        image = {}
+        for i in range(len(code) - 1):
+            if code[i] == sl2._X:
+                m = canonical_rotation(code[:i] + sl2._XS + code[i + 1:])
+                image[m] = image.get(m, 0) - 1
+        return image
+
+    with pytest.raises(AssertionError, match=r"^\(x1\)(\s|$)"):
+        assert_e_image_is_the_bracket(last_position_skipped)
