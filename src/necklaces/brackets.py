@@ -13,11 +13,12 @@ Loday bracket; projecting to cyclic words gives the necklace Lie bracket.
 Only the pairs the rule stores contribute, so each rule keeps a partner index,
 letter -> its partners with their tensor terms.  One opening, _open, serves
 both walks: each term of the first argument is opened at each letter into
-rows keyed by partner letter, and double_bracket and necklace_bracket walk
-each position of each term of the second and take only the row of its
-letter (x_i against x_i* alone under the canonical rule).  The last opening
-is kept, so a run of brackets with one left argument opens it once: c_n in a
-center check, a against every term of {{b, c}} in a double Jacobi check.
+rows keyed by partner letter, and double_bracket walks each position of
+each term of the second and takes only the row of its letter (x_i against
+x_i* alone under the canonical rule); necklace_bracket reads the same rows
+through a view, by gap and by position.  The last opening is kept, so a run
+of brackets with one left argument opens it once: c_n in a center check, a
+against every term of {{b, c}} in a double Jacobi check.
 _open checks the letters of each term it opens, so a kept opening is not
 checked again, and each walk checks each word of the second argument.
 
@@ -27,9 +28,12 @@ merged integer rows of code strings, one character chr(code) per letter.
 It never builds a free-algebra element: it sums its collapsed words as code
 strings in int and decodes into Letters only the necklaces whose sums stay
 nonzero.  A code must be a code point, so a rule's letters stop at x557056.
-{c_n, -} acts as a commutator with a fixed element, so its collapsed words
-cancel in pairs; a pair keyed as two rotations of one word, one turn of the
-right word apart, merges first.
+The view merges the rows that fill one gap of the right word, the middles
+that begin with the letter before it and those that end with the letter
+after it, once per letter pair (see necklace_bracket).  {c_n, -} acts as a
+commutator with a fixed element, so most of those pair rows cancel before
+any word is built; a pair keyed as two rotations of one word, one turn of
+the right word apart, merges after each right word.
 """
 
 from __future__ import annotations
@@ -148,28 +152,59 @@ def _open(rule: BracketRule, e) -> dict:
     return {partner: tuple(row) for partner, row in opened.items()}
 
 
+class _GapRows(dict):
+    """A necklace view's pair rows: y + x -> after(y) + before(x), merged by
+    string with the zero sums dropped, built the first time the pair is
+    read; a letter without an after or before row adds nothing."""
+
+    __slots__ = ("after", "before")
+
+    def __init__(self, after: dict, before: dict):
+        super().__init__()
+        self.after, self.before = after, before
+
+    def __missing__(self, pair):
+        sums = dict(self.after.get(pair[0], {}))
+        for w, c in self.before.get(pair[1], {}).items():
+            sums[w] = sums.get(w, 0) + c
+        row = self[pair] = tuple([(w, c) for w, c in sums.items() if c])
+        return row
+
+
 @lru_cache(maxsize=1)
 def _necklace_view(rule: BracketRule, e) -> tuple:
-    """_open(rule, e) as necklace_bracket reads it: (rows, den, decode).
-    rows maps each partner letter to its words as code strings (see
-    necklace_bracket), merged by string, with their coefficients summed, the
-    zero sums dropped and the rest cleared to integers over one common
-    denominator den; decode maps each generator's character back to its
-    Letter.  Kept for the last (rule, e), keyed as _open is."""
+    """_open(rule, e) as necklace_bracket reads it: (rows, gaps, den, decode).
+
+    Each partner letter's words, as code strings (see necklace_bracket), are
+    merged by string with their coefficients summed, the zero sums dropped
+    and the rest cleared to integers over one common denominator den; then
+    split by the letter x they replace.  A word that ends with x goes to
+    gaps.before[x] less that letter, else one that begins with x to
+    gaps.after[x] less it, each as a dict word -> coefficient, and the rest
+    to rows[x], a tuple of (word, coefficient).  gaps is a _GapRows; decode
+    maps each generator's character back to its Letter.  Kept for the last
+    (rule, e), keyed as _open is."""
     merged = {}
     for partner, row in _open(rule, e).items():
         sums: dict = {}
         for w, c, _ in row:
             k = "".join(map(chr, w))
             sums[k] = sums.get(k, 0) + c
-        merged[partner] = [(k, c) for k, c in sums.items() if c]
+        merged[chr(partner)] = [(k, c) for k, c in sums.items() if c]
     # an int is its own numerator over the denominator 1
     den = lcm(*(c.denominator for row in merged.values() for _, c in row))
-    rows = {
-        partner: tuple([(k, c.numerator * (den // c.denominator)) for k, c in row])
-        for partner, row in merged.items() if row
-    }
-    return rows, den, {chr(a): a for a in rule.generators}
+    rows, after, before = {}, {}, {}
+    for x, row in merged.items():
+        for k, c in row:
+            c = c.numerator * (den // c.denominator)
+            if k[-1:] == x:
+                before.setdefault(x, {})[k[:-1]] = c
+            elif k[:1] == x:
+                after.setdefault(x, {})[k[1:]] = c
+            else:
+                rows.setdefault(x, []).append((k, c))
+    rows = {x: tuple(row) for x, row in rows.items()}
+    return rows, _GapRows(after, before), den, {chr(a): a for a in rule.generators}
 
 
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:
@@ -208,15 +243,19 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     and only the nonzero sums are canonicalized, summed by necklace and
     divided by the denominator: many collapsed words cancel before that.
 
-    Words are keyed from the first letter of b, except at the last position
-    a word whose middle u . a_>p . a_<p . v begins with b_q: from after it.
-    Then each word b added, read back from the dict's end, that begins with
-    b merges into its rotation by len(b) if that sum is nonzero.
+    A middle u . a_>p . a_<p . v that ends with b_q is inserted, less that
+    letter, into the gap before b_q; else one that begins with b_q, less it,
+    into the gap after.  So each cyclic gap g of b, between b_(g-1) and
+    b_g, reads its pair row of the view once and keys b_<g . w . b_>=g
+    (gap 0 keys w . b); every other middle is spliced per position, keyed
+    from the first letter of b.  Then each word b added, read back from the
+    dict's end, that begins with b merges into its rotation by len(b) if
+    that sum is nonzero.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    rows, den, decode = _necklace_view(rule, e1)
+    rows, gaps, den, decode = _necklace_view(rule, e1)
     # e2's coefficients over one common denominator too, so the sums stay in
     # int; its words become code strings, as the view's rows are
     den2 = lcm(*(c.denominator for c in e2.terms.values()))
@@ -225,22 +264,22 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
         rule.check_letters(n)
         c2 = c2.numerator * (den2 // c2.denominator)
         code = "".join(map(chr, n))
-        size, last, mark = len(code), len(code) - 1, len(out)
-        for q, bq in enumerate(n):
-            row = rows.get(bq)
+        size, mark, y = len(code), len(out), code[-1:]
+        for g, x in enumerate(code):
+            # gap g, between y = b_(g-1) and x = b_g, cyclically
+            row = gaps[y + x]
             if row:
-                head = code[:q]
-                if q < last:
-                    tail = code[q + 1:]
-                    for middle, c in row:
-                        k = head + middle + tail
-                        out[k] = out.get(k, 0) + c * c2
-                else:
-                    # code . middle[1:], keyed to meet q = 0 (see above)
-                    ch = code[q]
-                    for middle, c in row:
-                        k = middle[1:] + code if middle[:1] == ch else head + middle
-                        out[k] = out.get(k, 0) + c * c2
+                head, tail = code[:g], code[g:]
+                for w, c in row:
+                    k = head + w + tail
+                    out[k] = out.get(k, 0) + c * c2
+            row = rows.get(x)
+            if row:
+                head, tail = code[:g], code[g + 1:]
+                for middle, c in row:
+                    k = head + middle + tail
+                    out[k] = out.get(k, 0) + c * c2
+            y = x
         for k, c in islice(reversed(out.items()), len(out) - mark):
             if c and k.startswith(code):
                 k2 = k[size:] + code

@@ -38,9 +38,55 @@ def _error(args, message) -> int:
     return 2
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(out: list, value, pad="\n") -> None:
+    """Append json.dumps(value, indent=2, sort_keys=True) to out, in pieces
+    for one "".join.  With indent set the standard library encodes in pure
+    Python; here a list of strings, as each term of a necklace element is,
+    is one piece, joined over the C string encoder."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            out.append(sep + _string(k if isinstance(k, str) else json.dumps(k)) + ": ")
+            _json(out, v, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            out.append("[" + inner + ("," + inner).join(map(_string, value)) + pad + "]")
+            return
+        except TypeError:  # an item is not a string
+            pass
+        # a list of lists of strings, as an element's terms are, takes no
+        # call per item
+        deeper = inner + "  "
+        head, inside, tail = "[" + deeper, "," + deeper, inner + "]"
+        sep = "[" + inner
+        for v in value:
+            try:
+                if v and type(v) is list:
+                    out.append(sep + head + inside.join(map(_string, v)) + tail)
+                    sep = "," + inner
+                    continue
+            except TypeError:
+                pass
+            out.append(sep)
+            _json(out, v, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:  # a scalar, {} or []
+        out.append(_string(value) if isinstance(value, str) else json.dumps(value))
+
+
 def _emit(args, text_lines, payload, csv_lines):
     if args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        pieces = []
+        _json(pieces, payload)
+        pieces.append("\n")
+        body = "".join(pieces)
     elif args.format == "csv":
         body = "\n".join(csv_lines) + "\n"
     else:

@@ -358,9 +358,9 @@ def test_integral_coefficients_are_stored_as_int():
 def test_an_ngl_opening_that_merges_rows():
     """Under ngl(2), e11e11 opens at both positions into the same words, and
     {{e11, e11}} = e11 (x) 1 - 1 (x) e11 makes some of them cancel: the
-    necklace view keeps fewer rows than the opening, as integers over one
-    denominator, and the bracket still equals the projected Loday bracket
-    of representatives."""
+    necklace view keeps fewer words than the opening, in its general, after
+    and before rows together, as integers over one denominator, and the
+    bracket still equals the projected Loday bracket of representatives."""
     rule = ngl(2)
     e11, e12, e21 = (Letter(k) for k in (1, 2, 3))
     left = NecklaceElement({
@@ -369,10 +369,11 @@ def test_an_ngl_opening_that_merges_rows():
         Necklace.of(Word([e11, e12, e21])): 5,
     })
     _necklace_view.cache_clear()
-    rows, den, decode = _necklace_view(rule, left)
-    assert sum(map(len, rows.values())) < sum(map(len, _open(rule, left).values()))
+    rows, gaps, den, decode = _necklace_view(rule, left)
+    kept = [*(dict(row) for row in rows.values()), *gaps.after.values(), *gaps.before.values()]
+    assert sum(map(len, kept)) < sum(map(len, _open(rule, left).values()))
     # e11e11's two openings sum its 1/2 to whole numbers, so only the 3 is left
-    assert den == 3 and all(type(c) is int for row in rows.values() for _, c in row)
+    assert den == 3 and all(type(c) is int for row in kept for c in row.values())
     assert _necklace_view(rule, NecklaceElement(dict(left.terms))) is _necklace_view(rule, left)
     assert set(decode.values()) == set(rule.generators)
     r = rng(31)
@@ -395,20 +396,97 @@ UPPER_TRIANGULAR = '{"dim": 3, "a": [[1, 1, 1, "1"], [1, 2, 2, "1"], [2, 3, 2, "
 )
 def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket(rule):
     """Under both rules {{e11, e12}} has the term e12 (x) 1, as e11 e12 = e12,
-    so (e11 e12) opens at e11 into a word that begins with the letter e12
-    it replaces; at the last position of the right-hand word the kernel
-    keys such words from the other end.  The bracket still equals the
-    projected Loday bracket of representatives, against one-letter
-    necklaces too, whose one position is the last."""
+    so (e11 e12) opens at e11 into the word e12 e12, which begins with the
+    letter e12 it replaces.  The view holds every such word in a gap row:
+    an after row, less that letter, or a before row, less its last letter,
+    when it also ends with it, as e12 e12 does.  The bracket still equals
+    the projected Loday bracket of representatives, against one-letter
+    necklaces too, whose one gap lies between their letter and itself."""
     r = rng(37)
     gens = rule.generators  # e11, e12, ... as x1, x2, ...
     singles = [NecklaceElement.of(Word([g])) for g in gens]
     left = _sampled_necklace_element(r, gens) + NecklaceElement.of(Word(gens[:2]))
-    rows, _, _ = _necklace_view(rule, left)
-    assert any(k[:1] == chr(partner) for partner, row in rows.items() for k, _ in row)
+    rows, gaps, _, _ = _necklace_view(rule, left)
+    assert not any(k[:1] == x for x, row in rows.items() for k, _ in row)
+    e12 = chr(gens[1])
+    assert gaps.before[e12].get(e12)
     rights = singles + [_sampled_necklace_element(r, gens) for _ in range(30)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
     assert sum(map(bool, wants)) > 15 and any(wants[:len(singles)])
+    assert [necklace_bracket(rule, left, e) for e in rights] == wants
+
+
+def test_a_gap_whose_left_letter_has_no_rows_reads_the_right_letter_alone():
+    """x1x1* opens only at partners x1* and x1, so x2 has no row of any kind;
+    the gap of x1*x2 between x2 and x1* still reads x1*'s before row."""
+    left = NecklaceElement.of("x1x1*")
+    _necklace_view.cache_clear()
+    rows, gaps, _, _ = _necklace_view(CANON2, left)
+    x2 = chr(Letter(2))
+    assert x2 not in rows and x2 not in gaps.after and x2 not in gaps.before
+    want = NecklaceElement.of("x1*x2")
+    assert kontsevich_bracket(left, "x1*x2", 2) == want
+    assert necklace_bracket(CANON2, left, "x1*x2") == want
+    assert set(gaps) == {x2 + chr(Letter(1, True)), chr(Letter(1, True)) + x2}
+
+
+@pytest.mark.parametrize("rule", [CANON1, CANON2, ngl(2)], ids=["canonical1", "canonical2", "ngl2"])
+def test_a_one_letter_right_necklace_reads_the_pair_of_its_letter_alone(rule):
+    """The one gap of a one-letter necklace x lies between x and itself, so
+    the bracket reads the pair row (x, x) and the general row of x."""
+    r = rng(43)
+    nonzero = 0
+    for _ in range(12):
+        left = _sampled_necklace_element(r, rule.generators)
+        for g in rule.generators:
+            single = Word([g])
+            _necklace_view.cache_clear()
+            got = necklace_bracket(rule, left, single)
+            assert got == project_to_necklace(loday_bracket(rule, FreeElement(left.terms), single))
+            if rule in (CANON1, CANON2):
+                assert got == kontsevich_bracket(left, single, len(rule.generators) // 2)
+            if left.terms:
+                assert set(_necklace_view(rule, left)[1]) == {chr(g) * 2}
+            nonzero += bool(got)
+    assert nonzero > 10
+
+
+@pytest.mark.parametrize("rule", [CANON1, CANON2], ids=["canonical1", "canonical2"])
+def test_a_degree_one_left_element_has_general_rows_alone(rule):
+    """Opened at its one letter, a degree-1 necklace leaves an empty middle,
+    which neither begins nor ends with a letter: no gap rows at all."""
+    d = len(rule.generators) // 2
+    left = NecklaceElement({Necklace.of(Word([g])): Fraction(1 - 2 * k, 3) for k, g in enumerate(rule.generators)})
+    _necklace_view.cache_clear()
+    rows, gaps, den, _ = _necklace_view(rule, left)
+    assert not gaps.after and not gaps.before and den == 3
+    assert all(k == "" for row in rows.values() for k, _ in row)
+    r = rng(47)
+    rights = [_sampled_necklace_element(r, rule.generators) for _ in range(40)]
+    wants = [kontsevich_bracket(left, e, d) for e in rights]
+    assert sum(map(bool, wants)) > 20
+    assert [necklace_bracket(rule, left, e) for e in rights] == wants
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [ngl(2), linear_rule(StructureConstants.from_json(UPPER_TRIANGULAR))],
+    ids=["ngl2", "json_upper_triangular"],
+)
+def test_middles_that_neither_begin_nor_end_with_their_letter_splice_per_position(rule):
+    """Under a matrix-algebra rule e11 e12 e21 (e11 e12 e22 upper triangular)
+    opens into words of all three kinds: general rows, spliced at each
+    position, next to after and before rows, read per gap."""
+    gens = rule.generators
+    left = NecklaceElement.of(Word(gens[:3]), Fraction(3, 2))
+    _necklace_view.cache_clear()
+    rows, gaps, _, _ = _necklace_view(rule, left)
+    assert rows and gaps.after and gaps.before
+    assert all(k[:1] != x and k[-1:] != x for x, row in rows.items() for k, _ in row)
+    r = rng(53)
+    rights = [_sampled_necklace_element(r, gens) for _ in range(40)]
+    wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
+    assert sum(map(bool, wants)) > 20
     assert [necklace_bracket(rule, left, e) for e in rights] == wants
 
 

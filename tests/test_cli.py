@@ -239,6 +239,42 @@ def test_json_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], "s", 7, None, {"b": {}, "a": [1, 2.5, None, True, False, "é\n\"x"]},
+        {3: "x", 1: [["a", "b"], ["c"]], 2: 1.5}, {True: [], False: "n"},
+        [[], [[]], {"z": [{"y": "ü"}]}, ("d",), [["e"]], ["f", 1], [1, "f"]],
+        {"t": ("a", "b"), "k": (1, ["a"]), "inf": float("inf")},
+    ],
+)
+def test_json_writer_matches_the_indented_standard_encoder(value):
+    pieces = []
+    cli._json(pieces, value)
+    assert "".join(pieces) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "2*x1x1*x2 - 1/3*x2*x2x1", "x1*x2x2*x2 + 5*x1x2*"],
+        ["verify", "grading"],
+        ["center", "1", "2", "3"],
+        ["table2"],
+        ["ngl", "2"],
+        ["decompose", "6"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_json_output_is_the_indented_standard_encoding(capsys, monkeypatch, argv):
+    payloads = []
+    real = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, *rest: payloads.append(rest[1]) or real(args, *rest))
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
 def test_output_to_file(tmp_path, capsys):
     path = tmp_path / "dims.csv"
     code, _ = run(capsys, "dims", "1", "3", "--format", "csv", "--output", str(path))

@@ -105,6 +105,23 @@ def test_a_command_runs_only_the_modules_it_uses(argv, not_run):
     assert not ran & not_run, sorted(ran & not_run)
 
 
+def test_decompose_and_table1_leave_the_bracket_module_unloaded():
+    """The sl2 oracle brackets by substitution on code strings, so the
+    decompose workload never runs brackets: after `decompose 8` and
+    `table1 8` in one fresh interpreter it is still the lazy placeholder."""
+    code = (
+        "import contextlib, importlib.util, io, sys\n"
+        "import necklaces.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['decompose', '8']), cli.main(['table1', '8'])]\n"
+        "print(codes, type(sys.modules['necklaces.brackets']) is importlib.util._LazyModule)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[0, 0] True\n"
+
+
 def test_running_the_cli_as_a_module_writes_no_warning():
     # python -m warns when it finds necklaces.cli in sys.modules before it
     # runs it, so the package registers every module but cli
