@@ -12,7 +12,8 @@ far sparser, with smaller entries, than leading at the lowest.  Once there
 are as many pivots as columns, the rank can grow no more, so later rows are
 only read, not reduced: each still goes through the same refusals.  Every
 step stays in the integers and every answer is exact; only the
-back-substitution of solve_unique returns to Fractions.
+back-substitution of solve_unique returns to Fractions.  The sl2 E-action
+ranks call rank; solve_unique has no caller in the library.
 """
 
 from __future__ import annotations

@@ -1,24 +1,25 @@
 """Exact trace calculus on generic matrices.
 
 Evaluating cyclic words on generic n x n matrices realizes the necklace
-bracket as a Poisson bracket on the trace ring.  For one symbol pair at
-n = 2 the trace ring is the polynomial algebra on
+bracket as a Poisson bracket on traces.  For one symbol pair at n = 2 the
+center of the trace ring is the polynomial algebra on
 
     tr(x), tr(x*), tr(x^2), tr((x*)^2), tr(xx*)
 
 and every identity here is an exact polynomial identity in the 8
-matrix-entry indeterminates; the leaves are classified in poisson.  The
-generators' names, poisson.TRACE_GENERATORS, are read at call time, so the
-package's deferred loader compiles poisson only for a command that needs it.
+matrix-entry indeterminates; the leaves are classified in poisson.  A trace
+is written in the generators, at any degree, by trace_of on the trace ring's
+4 x 4 left multiplications by x and x*, certified once.  The generators'
+names, poisson.TRACE_GENERATORS, are read at call time, so the package's
+deferred loader compiles poisson only for a command that needs it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from . import brackets, linalg, poisson
+from . import brackets, poisson
 from .elements import _as_necklace_element, _coeff
 from .multipoly import Polynomial, PolyMatrix
 from .report import CheckReport
@@ -107,43 +108,39 @@ def table2() -> poisson.PoissonPolyAlgebra:
     return poisson.PoissonPolyAlgebra(poisson.TRACE_GENERATORS, cells)
 
 
-def express_in_trace_generators(e) -> Polynomial:
-    """Rewrite the trace of a necklace element of degree <= 4 as a
-    polynomial in the five generators, by one exact linear solve over the
-    generator monomials of weighted degree <= its top degree; the result is
-    verified by substitution."""
-    e = _as_necklace_element(e)
-    top = max((neck.degree for neck in e.terms), default=0)
-    if top > 4:
-        raise ValueError(f"degree {top} exceeds the rewriting bound 4")
-    # tr(x) and tr(x*) weigh 1, the other three generators 2
-    names = poisson.TRACE_GENERATORS
-    monomials = [
-        tuple(sorted((g, k) for g, k in zip(names, exps) if k))
-        for exps in product(range(top + 1), repeat=len(names))
-        if exps[0] + exps[1] + 2 * sum(exps[2:]) <= top
-    ]
+@lru_cache(maxsize=None)
+def _regular_mats() -> tuple[PolyMatrix, PolyMatrix]:
+    """Left multiplication by x and x* on the trace ring at n = 2, free over
+    the five generators with basis 1, X, Y, XY: column j is the letter times
+    basis element j, by Cayley-Hamilton, X^2 = tr(X) X - det X, and its
+    polarization, YX = -XY + tr(X) Y + tr(Y) X + tr(XY) - tr(X) tr(Y).
+    Certified once on the generic matrices: each column reproduces its
+    product, and each basis element's left multiplication has twice its
+    trace, so half the trace of a word's left multiplication is its trace."""
+    t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in poisson.TRACE_GENERATORS)
+    dx, dy = (t1 * t1 - t3) / 2, (t2 * t2 - t4) / 2  # det X, det Y
+    lx = PolyMatrix([[0, -dx, 0, 0], [1, t1, 0, 0], [0, 0, 0, -dx], [0, 0, 1, t1]])
+    ly = PolyMatrix([[0, t5 - t1 * t2, -dy, -t1 * dy], [0, t2, 0, dy], [1, t1, t2, t5], [0, -1, 0, 0]])
     gens = generator_polynomials()
-    evaluated = [Polynomial({m: 1}).substitute(gens) for m in monomials]
-    target = trace_of(e, _mats2())
-    # one equation per monomial of the 8 indeterminates: its entries are the
-    # monomial's coefficients in the evaluated generator monomials
-    entries: dict = {m: {} for m in target.terms}
-    for j, p in enumerate(evaluated):
-        for m, v in p.terms.items():
-            entries.setdefault(m, {})[j] = v
-    rows = sorted(entries)
-    solution = linalg.solve_unique(
-        [linalg.SparseRow(len(evaluated), entries[m]) for m in rows],
-        [target.terms.get(m, 0) for m in rows],
-    )
-    if solution is None:
-        raise ArithmeticError("trace is not a polynomial in the five generators")
-    result = Polynomial(dict(zip(monomials, solution)))
-    # certify: substituting the generator polynomials reproduces the trace
-    if result.substitute(gens) != target:
-        raise ArithmeticError("generator rewriting failed verification")
-    return result
+    x, xs = _mats2()
+    basis = (PolyMatrix.identity(2), x, xs, x * xs)
+    regular = (PolyMatrix.identity(4), lx, ly, lx * ly)
+    for j, name in enumerate(("1", "x", "x*", "xx*")):
+        if regular[j].trace().substitute(gens) != 2 * basis[j].trace() or any(
+            sum((b * table.entries[i][j].substitute(gens) for i, b in enumerate(basis)), x * 0)
+            != letter * basis[j]
+            for table, letter in ((lx, x), (ly, xs))
+        ):
+            raise ArithmeticError(f"regular representation fails at basis element {name}")
+    return lx, ly
+
+
+def express_in_trace_generators(e) -> Polynomial:
+    """The trace of a necklace element at n = 2 in the five generators, at
+    any degree.  The trace ring is generically 2 x 2 matrices, which act on
+    themselves as two columns, so a word's left multiplication has twice
+    its trace."""
+    return trace_of(e, _regular_mats()) / 2
 
 
 def verify_cayley_hamilton() -> CheckReport:

@@ -96,8 +96,13 @@ def _modules_run(argv):
         ),
         (["verify", "casimir"], {"brackets", "sampling", "traces"}),
         (["center", "1", "6", "8"], {"poisson"}),
+        # traces reach the generators by 4 x 4 left multiplications, no solve
+        (["table2"], {"linalg", "sl2", "sampling"}),
     ],
-    ids=["build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir", "center_1"],
+    ids=[
+        "build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir", "center_1",
+        "table2",
+    ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, not_run):
     exit_code, ran = _modules_run(argv)

@@ -218,31 +218,80 @@ def test_abelianization_is_symplectic_poisson_at_n1():
         assert lhs == rhs
 
 
-def test_express_in_trace_generators_roundtrip():
-    # every necklace of degree <= 4 rewrites exactly; checked by substitution
+def _first_disagreement(max_degree):
+    """The first necklace of degree <= max_degree, in enumeration order,
+    whose rewritten trace, substituted back, is not its trace on the
+    generic matrices; None if there is none."""
     mats = generic_matrices(1, 2)
     gens = generator_polynomials()
-    for k in range(0, 5):
+    for k in range(max_degree + 1):
         for neck in enumerate_necklaces(1, k):
-            expr = express_in_trace_generators(neck)
-            assert expr.substitute(gens) == trace_of(neck, mats)
+            if express_in_trace_generators(neck).substitute(gens) != trace_of(neck, mats):
+                return neck
+    return None
 
 
-def test_express_rejects_high_degree():
-    with pytest.raises(ValueError):
-        express_in_trace_generators(Necklace.of("xxx*xx*"))
+def test_express_in_trace_generators_roundtrip():
+    # all 94 necklaces of degree <= 8 rewrite exactly; checked by substitution
+    assert _first_disagreement(8) is None
+
+
+def test_a_wrong_sign_in_the_left_multiplication_table_is_caught(monkeypatch):
+    # YX = +XY + ... instead of -XY + ...: the same comparison fails, first
+    # on tr((x*)^2), the first trace that reads that entry of x*'s table
+    lx, ly = traces._regular_mats()
+    rows = [list(r) for r in ly.entries]
+    rows[3][1] = -rows[3][1]
+    monkeypatch.setattr(traces, "_regular_mats", lambda: (lx, PolyMatrix(rows)))
+    assert repr(_first_disagreement(8)) == "(x1*x1*)"
+
+
+def test_the_left_multiplication_tables_are_certified_on_first_use(monkeypatch):
+    # with tr(x^2) and tr((x*)^2) swapped, X^2 = tr(X) X - det X no longer
+    # holds on the generic matrices, and the certificate names the basis
+    # element whose column fails
+    real = generator_polynomials()
+    t3, t4 = TRACE_GENERATORS[2:4]
+    swapped = {**real, t3: real[t4], t4: real[t3]}
+    traces._regular_mats.cache_clear()
+    monkeypatch.setattr(traces, "generator_polynomials", lambda: swapped)
+    try:
+        message = r"^regular representation fails at basis element x$"
+        with pytest.raises(ArithmeticError, match=message):
+            express_in_trace_generators("xx")
+    finally:
+        traces._regular_mats.cache_clear()
+
+
+def test_express_has_no_degree_bound_but_needs_a_matrix_per_letter():
+    neck = Necklace.of("xxx*xx*")
+    got = express_in_trace_generators(neck)
+    assert got.total_degree() > 1
+    assert got.substitute(generator_polynomials()) == trace_of(neck, generic_matrices(1, 2))
+    with pytest.raises(ValueError, match="letter x2 has no matrix"):
+        express_in_trace_generators("x1x2")
+
+
+def test_central_elements_map_to_powers_of_the_casimir():
+    # tr(c_2m) = 2 Cas^m and tr(c_2m+1) = 0, against the Casimir of
+    # poisson, which shares no code with trace_of
+    casimir = casimir_polynomial()
+    for n in range(2, 7):
+        expected = 2 * casimir ** (n // 2) if n % 2 == 0 else Z
+        assert express_in_trace_generators(center_element(1, n)) == expected, n
 
 
 def test_express_mixed_degrees_in_one_call():
-    # unit + x + xx* + c_2 spans degrees 0 to 4 and is rewritten in one solve
+    # unit + x + xx* + c_2 spans degrees 0 to 4 and is rewritten in one walk
     e = NecklaceElement({Necklace.of(""): 1, Necklace.of("x"): 1, Necklace.of("xx*"): 1})
     e = e + center_element(1, 2)
     got = express_in_trace_generators(e)
     assert got == 2 + T1 + T5 + (-2 * stated_casimir_expression())
-    assert got.substitute(generator_polynomials()) == trace_of(e, generic_matrices(1, 2))
-    # one degree-5 term among low ones is refused by its degree
-    with pytest.raises(ValueError, match="degree 5 exceeds"):
-        express_in_trace_generators(e + NecklaceElement.of(Necklace.of("xxx*xx*")))
+    mats = generic_matrices(1, 2)
+    assert got.substitute(generator_polynomials()) == trace_of(e, mats)
+    # a degree-5 term among the low ones is rewritten with them
+    e = e + NecklaceElement.of(Necklace.of("xxx*xx*"))
+    assert express_in_trace_generators(e).substitute(generator_polynomials()) == trace_of(e, mats)
 
 
 def test_express_zero_is_the_zero_polynomial():
