@@ -3,16 +3,17 @@
 The two routes are independent: the formulas go through gcd sums and Moebius
 inversion, the enumeration walks the prenecklace tree (FKM order) and never
 canonicalizes a word.  One walk serves both the enumeration and the count; it
-hands each necklace to a visitor as its reused symbol array, so counting
-allocates nothing per necklace.
+yields each necklace as one list of symbol codes, updated in place, so
+counting allocates nothing per necklace.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
+from operator import index
 
 from .elements import Necklace
-from .words import Letter
+from .words import letters
 
 
 def divisors(n: int) -> list[int]:
@@ -95,48 +96,36 @@ def binary_necklace_count(n: int, m: int) -> int:
     return total
 
 
-def _prenecklace_walk(d: int, n: int, visit):
-    """FKM traversal of the necklaces of length n on 2d symbols; calls
-    visit(a) for each, in lex order, with its symbols in a[1:].  The list a
-    is reused from call to call."""
+def _prenecklace_walk(d: int, n: int):
+    """FKM walk over the necklaces of length n on 2d symbols (Ruskey, Savage
+    and Wang 1992).  Yields each, in lex order, as the list of its symbol
+    codes; the list is updated in place from one necklace to the next."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    k, a = 2 * d, [0] * (n + 1)
-
-    def gen(t, p):
-        if t > n:
-            if n % p == 0:
-                visit(a)
+    top, a = 2 * index(d) - 1, [0] * n
+    yield a
+    while True:
+        # raise the last symbol below top, then repeat the first i symbols
+        i = n
+        while i and a[i - 1] == top:
+            i -= 1
+        if not i:
             return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        for j in range(a[t - p] + 1, k):
-            a[t] = j
-            gen(t + 1, t)
-
-    gen(1, 1)
+        a[i - 1] += 1
+        if i < n:
+            tail = n - i
+            a[i:] = a[:tail] if tail <= i else (a[:i] * (n // i))[:tail]
+        if n % i == 0:
+            yield a
 
 
 def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
     """All canonical necklaces of degree n on 2d letters, sorted."""
-    out: list[Necklace] = []
-    letters = [Letter.from_code(c) for c in range(2 * d)]
-
-    def visit(a):
-        # the walk visits canonical words only
-        out.append(Necklace._unchecked([letters[s] for s in a[1:]]))
-
-    _prenecklace_walk(d, n, visit)
-    return out
+    alphabet = letters(d)
+    # the walk yields canonical words only
+    return [Necklace._unchecked([alphabet[s] for s in a]) for a in _prenecklace_walk(d, n)]
 
 
 def necklace_count_by_enumeration(d: int, n: int) -> int:
     """Count necklaces by walking the FKM tree, without materializing words."""
-    count = 0
-
-    def visit(a):
-        nonlocal count
-        count += 1
-
-    _prenecklace_walk(d, n, visit)
-    return count
+    return sum(1 for _ in _prenecklace_walk(d, n))

@@ -26,7 +26,7 @@ from fractions import Fraction
 # brackets and traces are read at call time, so that the deferred loader
 # compiles them only for check_low_degree_structure, not for the oracle
 from . import brackets, linalg, multipoly, report, traces
-from .counting import binary_necklace_count, binomial, enumerate_necklaces
+from .counting import _prenecklace_walk, binary_necklace_count, binomial, enumerate_necklaces
 from .elements import Necklace, NecklaceElement
 from .words import canonical_rotation, letters
 
@@ -126,8 +126,8 @@ def _weight_spaces(n: int) -> dict[int, dict[str, str]]:
     """Degree-n necklaces (d = 1) as code strings, grouped by H-eigenvalue
     in enumeration order, each mapped to the code string of its reversal."""
     spaces: dict[int, dict[str, str]] = {}
-    for neck in enumerate_necklaces(1, n):
-        code = "".join(map(chr, neck))
+    for symbols in _prenecklace_walk(1, n):
+        code = "".join(map(chr, symbols))
         spaces.setdefault(2 * code.count(_XS) - n, {})[code] = canonical_rotation(code[::-1])
     return spaces
 

@@ -60,8 +60,8 @@ def test_necklace_dimension_examples():
 
 
 def test_dimension_matches_enumeration_small():
-    for d in (1, 2):
-        for k in range(0, 8 if d == 1 else 6):
+    for d, top in [(1, 7), (2, 5), (3, 5)]:
+        for k in range(0, top + 1):
             got = enumerate_necklaces(d, k)
             assert len(got) == necklace_dimension(d, k)
             assert len(set(got)) == len(got)
@@ -69,7 +69,7 @@ def test_dimension_matches_enumeration_small():
 
 
 def test_enumeration_agrees_with_brute_canonicalization():
-    for d, k in [(1, 5), (1, 6), (2, 4)]:
+    for d, k in [(1, 5), (1, 6), (1, 9), (2, 4), (3, 4)]:
         got = set(enumerate_necklaces(d, k))
         expect = {Necklace(w) for w in brute_necklace_set(d, k)}
         assert got == expect
@@ -84,9 +84,14 @@ def test_enumerate_examples():
 
 
 def test_count_by_enumeration_matches_formula():
-    for d in (1, 2):
-        for k in range(0, 13 if d == 1 else 9):
+    for d, top in [(1, 12), (2, 8), (3, 6)]:
+        for k in range(0, top + 1):
             assert necklace_count_by_enumeration(d, k) == necklace_dimension(d, k)
+
+
+def test_walk_runs_on_int_codes_past_the_last_code_point():
+    # codes run to 1114113; x557057 (1114112) and x557057* lie past the last code point
+    assert necklace_count_by_enumeration(557057, 1) == 1114114
 
 
 def test_lyndon_count_examples_and_oracle():

@@ -92,6 +92,22 @@ REFUSALS = {
     "count_by_enumeration_n": (
         lambda: necklace_count_by_enumeration(1, -1), ValueError, "need d >= 1 and n >= 0",
     ),
+    "enumerate_necklaces_float_d": (
+        lambda: enumerate_necklaces(1.5, 2),
+        TypeError, "'float' object cannot be interpreted as an integer",
+    ),
+    "enumerate_necklaces_float_n": (
+        lambda: enumerate_necklaces(1, 2.0),
+        TypeError, "can't multiply sequence by non-int of type 'float'",
+    ),
+    "count_by_enumeration_float_d": (
+        lambda: necklace_count_by_enumeration(1.5, 2),
+        TypeError, "'float' object cannot be interpreted as an integer",
+    ),
+    "count_by_enumeration_float_n": (
+        lambda: necklace_count_by_enumeration(1, 2.0),
+        TypeError, "can't multiply sequence by non-int of type 'float'",
+    ),
     "tensor_multiplicity": (lambda: tensor_multiplicity(3, 2), ValueError, "need 0 <= m <= n/2"),
     "multiplicity_formula": (lambda: multiplicity_formula(0, 0), ValueError, "n must be >= 1"),
     "table1": (lambda: table1(0), ValueError, "max_degree must be >= 1"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from necklaces import brackets, linalg, sl2, traces
+from necklaces import brackets, counting, linalg, sl2, traces
 from necklaces.brackets import BracketRule, necklace_bracket
 from necklaces.counting import enumerate_necklaces, necklace_dimension
 from necklaces.elements import Necklace, NecklaceElement
@@ -216,6 +216,18 @@ def test_decompose_bruteforce_names_a_rank_disagreement(monkeypatch):
     monkeypatch.setattr(sl2, "_e_action_rank", one_short_at_weight_4)
     with pytest.raises(ArithmeticError, match=r"at degree 8, weight 4$"):
         decompose_bruteforce(8)
+
+
+def test_decompose_bruteforce_reads_the_walk_without_enumerate_necklaces(monkeypatch):
+    """The oracle takes its code strings straight from the FKM walk and
+    builds no Necklace of Letters on the way."""
+
+    def refused(d, n):
+        raise AssertionError("the sl2 oracle called enumerate_necklaces")
+
+    monkeypatch.setattr(counting, "enumerate_necklaces", refused)
+    monkeypatch.setattr(sl2, "enumerate_necklaces", refused)
+    assert decompose_bruteforce(12) == decompose_by_formula(12)
 
 
 def unsplit_rank(source, target):
