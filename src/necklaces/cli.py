@@ -142,9 +142,9 @@ def cmd_bracket(args):
     canonical = args.rule == "canonical"
     if args.rule.startswith("ngl:"):
         n = args.rule[4:]
-        elements._check_digits(args.rule, "--rule")
+        words._check_digits(args.rule, "--rule")
         if not (n.isdecimal() and int(n) >= 1):
-            given = elements._excerpt(args.rule)
+            given = words._excerpt(args.rule)
             raise ValueError(f"--rule {given!r} is not ngl:N with an integer N >= 1")
         rule = linear_rules.ngl(int(n))
     elif not canonical:
@@ -275,7 +275,7 @@ def cmd_center(args):
         "violations": violations,
     }
     if d == 1:
-        where = f"witness value of c_{n} at lambda={elements._excerpt(args.witness_lambda)}"
+        where = f"witness value of c_{n} at lambda={words._excerpt(args.witness_lambda)}"
         value = _printed(traces.center_witness(n, lam), where)
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": value}
@@ -310,7 +310,7 @@ def cmd_verify(args):
 def cmd_classify(args):
     literals = (args.X, args.Y, args.E, args.F, args.H)
     got = poisson.classify_point([elements.parse_rational(v) for v in literals])
-    point = ", ".join(elements._excerpt(v) for v in literals)
+    point = ", ".join(words._excerpt(v) for v in literals)
     casimir = _printed(got.casimir, f"Casimir value at ({point})")
     primed = [_printed(v, f"{g} at ({point})") for g, v in zip(("E'", "F'", "H'"), got.primed)]
     payload = {"leaf": got.leaf, "luna_type": got.luna_type, "casimir": casimir, "primed": primed}
@@ -362,14 +362,14 @@ def _int_at_least(low: int | None = None):
     a refusal names the literal by its first 24 characters."""
     def parse(text: str) -> int:
         try:
-            elements._check_digits(text, "integer")
+            words._check_digits(text, "integer")
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         digits = text[1:] if text[:1] in ("+", "-") else text
         value = int(text) if digits.isdecimal() else None
         if value is None or low is not None and value < low:
             at_least = "" if low is None else f" >= {low}"
-            got = elements._excerpt(text)
+            got = words._excerpt(text)
             raise argparse.ArgumentTypeError(f"expected an integer{at_least}, got {got!r}")
         return value
 
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("center", help="centrality check and witness values")
     p.add_argument("d", type=_positive_int)
     p.add_argument("n", type=_int_at_least(0))
-    p.add_argument("bound", type=_integer, nargs="?", default=6)
+    p.add_argument("bound", type=_positive_int, nargs="?", default=6)
     p.add_argument("--witness-lambda", default="1")
     p.set_defaults(func=cmd_center)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from math import comb, gcd
 from operator import index
 
-from .elements import Necklace
+# elements is read when enumerate_necklaces runs, so that counting alone
+# (dims, and the sl2 oracle's walk) does not compile it
+from . import elements
 from .words import letters
 
 
@@ -119,11 +121,11 @@ def _prenecklace_walk(d: int, n: int):
             yield a
 
 
-def enumerate_necklaces(d: int, n: int) -> list[Necklace]:
+def enumerate_necklaces(d: int, n: int) -> list[elements.Necklace]:
     """All canonical necklaces of degree n on 2d letters, sorted."""
-    alphabet = letters(d)
+    alphabet, unchecked = letters(d), elements.Necklace._unchecked
     # the walk yields canonical words only
-    return [Necklace._unchecked([alphabet[s] for s in a]) for a in _prenecklace_walk(d, n)]
+    return [unchecked([alphabet[s] for s in a]) for a in _prenecklace_walk(d, n)]
 
 
 def necklace_count_by_enumeration(d: int, n: int) -> int:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .words import EMPTY_WORD, Letter, Word, _excerpt, canonical_rotation, format_word, parse_word
+from .words import EMPTY_WORD, Letter, Word, _check_digits, _excerpt, _MAX_DIGITS
+from .words import canonical_rotation, format_word, parse_word
 
 
 def _coeff(c) -> int | Fraction:
@@ -337,27 +338,20 @@ class TripleTensor(_Combination):
 _TERM = re.compile(r"(?!\Z)([\s+-]*)(?:(\d+(?:/\d+)?)\s*(\*?))?([^+-]*)")
 
 
-# refused before Fraction("1e999999999") builds a billion-digit integer; a
-# literal of more digits is refused before int() meets its 4,300-digit limit
-_MAX_EXPONENT = 1000
+# an exponent above words._MAX_DIGITS is refused before
+# Fraction("1e999999999") builds a billion-digit integer
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-
-
-def _check_digits(text: str, what: str) -> None:
-    """Refuse text of more than _MAX_EXPONENT digits, named by its start."""
-    if sum(map(str.isdecimal, text)) > _MAX_EXPONENT:
-        raise ValueError(f"{what} {_excerpt(text)!r} has more than {_MAX_EXPONENT} digits")
 
 
 def parse_rational(text: str) -> Fraction:
     """An exact rational from "p", "p/q" or any other literal Fraction reads;
-    an unreadable literal, a zero denominator, more than _MAX_EXPONENT digits
+    an unreadable literal, a zero denominator, more than _MAX_DIGITS digits
     or an exponent above it is a ValueError naming the input by _excerpt."""
     if isinstance(text, str):
         m = _EXPONENT.search(text)
         # five significant digits are past the bound, and no more are read
-        if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {_excerpt(text)!r} is above {_MAX_EXPONENT}")
+        if m and int(m[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_DIGITS:
+            raise ValueError(f"exponent of {_excerpt(text)!r} is above {_MAX_DIGITS}")
         _check_digits(text, "number")
     try:
         return Fraction(text)

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 A row is a SparseRow, its width and its nonzero entries {column: value};
-any other row is refused.  Entries and right-hand sides are read by the
-package's one coercion, elements._coeff, so a float or a bool raises.
+any other row is refused.  An int entry is read as it is; any other entry,
+and a right-hand side, is read by the package's one coercion,
+elements._coeff, so a float or a bool raises.  That module is read only
+then, so ranks of int rows, as the sl2 oracle's are, do not compile it.
 
 One kernel serves rank and solve: each row is cleared of denominators to a
 primitive integer row, stored sparse as {column: int}, and reduced
@@ -18,10 +20,9 @@ ranks call rank; solve_unique has no caller in the library.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .elements import _coeff
+from . import elements
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -59,7 +60,7 @@ def _entries(row):
 
 def _integer_row(entries) -> dict[int, int]:
     """The nonzero entries, (column, value) pairs, scaled to coprime integers."""
-    row = {c: v if type(v) is int else _coeff(v) for c, v in entries}
+    row = {c: v if type(v) is int else elements._coeff(v) for c, v in entries}
     scale = lcm(*(v.denominator for v in row.values()))
     return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
 
@@ -104,13 +105,16 @@ def rank(rows: list) -> int:
     return len(_eliminate(entries, max((row.width for row in rows), default=0)))
 
 
-def solve_unique(a: list, b: list[Fraction]) -> list[Fraction] | None:
+def solve_unique(a: list, b: list) -> list | None:
     """Solve A x = b, A a list of SparseRows, where a solution, if any, is
-    unique (full column rank).
+    unique (full column rank), as a list of Fractions.
 
     Returns None if the system is inconsistent; raises if the solution is
     not unique.
     """
+    # imported here alone: rank, which the sl2 oracle calls, needs no Fraction
+    from fractions import Fraction
+
     # b is column 0, below the unknowns 1..ncols, so it leads only in a row
     # that reads 0 = nonzero
     rows = [

@@ -21,13 +21,13 @@ about half the size; every image is still read whole into the target basis.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-# brackets and traces are read at call time, so that the deferred loader
-# compiles them only for check_low_degree_structure, not for the oracle
-from . import brackets, linalg, multipoly, report, traces
+# brackets, traces and elements are read at call time, so that the deferred
+# loader compiles them only where they run, not for the formula or the
+# oracle; elements._coeff reads "1/2" as a Fraction, so sl2 does not import
+# fractions
+from . import brackets, elements, linalg, multipoly, report, traces
 from .counting import _prenecklace_walk, binary_necklace_count, binomial, enumerate_necklaces
-from .elements import Necklace, NecklaceElement
 from .words import canonical_rotation, letters
 
 
@@ -38,9 +38,9 @@ Sl2Generators = namedtuple("Sl2Generators", "E F H")
 def sl2_generators() -> Sl2Generators:
     """E = (x*)^2/2, F = -x^2/2, H = xx* as necklace elements (d = 1)."""
     return Sl2Generators(
-        E=NecklaceElement.of("x*x*", Fraction(1, 2)),
-        F=NecklaceElement.of("xx", Fraction(-1, 2)),
-        H=NecklaceElement.of("xx*"),
+        E=elements.NecklaceElement.of("x*x*", "1/2"),
+        F=elements.NecklaceElement.of("xx", "-1/2"),
+        H=elements.NecklaceElement.of("xx*"),
     )
 
 
@@ -117,9 +117,9 @@ _X, _XS = chr(0), chr(1)
 _LETTERS = letters(1)
 
 
-def _necklace(code: str) -> Necklace:
+def _necklace(code: str) -> elements.Necklace:
     """The necklace of a canonical code string, which prints in letters."""
-    return Necklace._unchecked([_LETTERS[ord(c)] for c in code])
+    return elements.Necklace._unchecked([_LETTERS[ord(c)] for c in code])
 
 
 def _weight_spaces(n: int) -> dict[int, dict[str, str]]:
@@ -262,7 +262,7 @@ def check_low_degree_structure(d: int) -> report.CheckReport:
             pois = multipoly.symplectic_poisson(images[n1], images[n2], pairs)
             checks.add(f"{{{n1!r},{n2!r}}}", graded and traces.trace_of(got, mats) == pois)
 
-    unit = NecklaceElement.unit()
+    unit = elements.NecklaceElement.unit()
     necks = (n for k in range(4) for n in enumerate_necklaces(d, k))
     central = all(bracket(rule, unit, n).is_zero for n in necks)
     checks.add("unit necklace is central", central)

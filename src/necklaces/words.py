@@ -195,6 +195,17 @@ def _excerpt(text: str) -> str:
     return text if len(text) <= 24 else f"{text[:24]}..."
 
 
+# a literal of more digits is refused before int() meets its 4,300-digit
+# limit; elements.parse_rational also bounds a literal's exponent by it
+_MAX_DIGITS = 1000
+
+
+def _check_digits(text: str, what: str) -> None:
+    """Refuse text of more than _MAX_DIGITS digits, named by its start."""
+    if sum(map(str.isdecimal, text)) > _MAX_DIGITS:
+        raise ValueError(f"{what} {_excerpt(text)!r} has more than {_MAX_DIGITS} digits")
+
+
 def _tokenizer(alphabet: dict[str, Letter] | None) -> re.Pattern:
     if alphabet is None:
         return _TOKEN

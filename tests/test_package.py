@@ -87,9 +87,11 @@ def _modules_run(argv):
     "argv, not_run",
     [
         ([], set(LIBRARY)),
-        (["dims", "1", "2"], {"brackets", "traces", "sl2"}),
+        # the decompose path reads elements for no name it calls
+        (["dims", "1", "2"], {"brackets", "elements", "traces", "sl2"}),
         (["classify", "1", "2", "3", "4", "5"], {"brackets", "sl2", "traces"}),
-        (["decompose", "5"], {"brackets", "report", "traces"}),
+        (["decompose", "5"], {"brackets", "elements", "report", "traces"}),
+        (["table1", "5"], {"brackets", "elements", "report", "traces"}),
         (
             ["bracket", "x", "x*"],
             {"counting", "report", "sampling", "traces", "sl2", "linalg", "linear_rules"},
@@ -100,8 +102,8 @@ def _modules_run(argv):
         (["table2"], {"linalg", "sl2", "sampling"}),
     ],
     ids=[
-        "build_parser", "dims", "classify", "decompose", "bracket", "verify_casimir", "center_1",
-        "table2",
+        "build_parser", "dims", "classify", "decompose", "table1", "bracket", "verify_casimir",
+        "center_1", "table2",
     ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, not_run):
@@ -125,6 +127,24 @@ def test_decompose_and_table1_leave_the_bracket_module_unloaded():
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out == "[0, 0] True\n"
+
+
+@pytest.mark.parametrize("argv", [["decompose", "12"], ["dims", "2", "8"]], ids=" ".join)
+def test_the_decompose_path_does_not_import_fractions(argv):
+    """fractions also loads decimal and numbers; the oracle's ranks and the
+    counts are all ints, so a fresh interpreter running one of these
+    commands never imports it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import necklaces.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    exit_code = cli.main({argv!r})\n"
+        "print(exit_code, 'fractions' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 False\n"
 
 
 def test_running_the_cli_as_a_module_writes_no_warning():
