@@ -100,16 +100,16 @@ HUGE = "9" * 995 + "e1000"
         (["classify", "1", "2", "3", "4", "x" * 5000], f"invalid number '{'x' * 24}...'"),
         (["dims", "1", LONG], f"argument kmax: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", LONG, "2"], f"argument d: integer '{LONG[:24]}...' has more than 1000 digits"),
-        (["decompose", LONG], f"argument n: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["ngl", "x" * 30], f"argument n: expected an integer >= 1, got '{'x' * 24}...'"),
         (["decompose", "+-5"], "argument n: expected an integer, got '+-5'"),
         (["verify", "jacobi", "--seed", LONG], f"argument --seed: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", "0", "2"], "argument d: expected an integer >= 1, got '0'"),
         (["center", "-1", "2"], "argument d: expected an integer >= 1, got '-1'"),
         (["center", "1", "-1"], "argument n: expected an integer >= 0, got '-1'"),
+        (["ngl", "0"], "argument n: expected an integer >= 1, got '0'"),
+        (["decompose", LONG], f"argument n: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", "1", "2", "0"], "argument bound: expected an integer >= 1, got '0'"),
         (["center", "1", "2", "-1"], "argument bound: expected an integer >= 1, got '-1'"),
-        (["ngl", "0"], "argument n: expected an integer >= 1, got '0'"),
     ],
 )
 def test_bad_number_and_rule_name_the_input(capsys, argv, message):
@@ -377,8 +377,8 @@ BAD_RULE_FILES = {
         ["center", "0", "2"],
         ["center", "-1", "2"],
         ["center", "1", "-1"],
-        ["center", "1", "2", "-1"],
         ["ngl", "0"],
+        ["center", "1", "2", "-1"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
