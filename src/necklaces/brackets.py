@@ -26,14 +26,15 @@ necklace_bracket reads the opening through its necklace view
 (_necklace_view), kept like the opening in a one-slot cache of its own:
 merged integer rows of code strings, one character chr(code) per letter.
 It never builds a free-algebra element: it sums its collapsed words as code
-strings in int and decodes into Letters only the necklaces whose sums stay
-nonzero.  A code must be a code point, so a rule's letters stop at x557056.
-The view merges the rows that fill one gap of the right word, the middles
-that begin with the letter before it and those that end with the letter
-after it, once per letter pair (see necklace_bracket).  {c_n, -} acts as a
-commutator with a fixed element, so most of those pair rows cancel before
-any word is built; a pair keyed as two rotations of one word, one turn of
-the right word apart, merges after each right word.
+strings in int and decodes into Letters, through the rule's table of
+generator characters, only the necklaces whose sums stay nonzero.  A code
+must be a code point, so a rule's letters stop at x557056.  When it is
+built, the view merges the rows that fill one gap of the right word, the
+middles that begin with the letter before it and those that end with the
+letter after it, once per letter pair (see necklace_bracket).  {c_n, -}
+acts as a commutator with a fixed element, so most of those pair rows
+cancel before any word is built; a pair keyed as two rotations of one word,
+one turn of the right word apart, merges after each right word.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class BracketRule:
     there are none.
     """
 
-    __slots__ = ("generators", "genset", "table", "partners", "names", "degree_shift")
+    __slots__ = ("generators", "genset", "decode", "table", "partners", "names", "degree_shift")
 
     def __init__(self, generators, table, names=None):
         self.generators = tuple(generators)
@@ -78,6 +79,8 @@ class BracketRule:
         if max(genset, default=0) > sys.maxunicode:
             last = (sys.maxunicode + 1) // 2
             raise ValueError(f"letter {max(genset).name} is past x{last}, the last with a code point")
+        # each generator's character chr(code) -> the generator
+        self.decode = {chr(a): a for a in self.generators}
         clean = {}
         for (a, b), t in table.items():
             if a not in genset or b not in genset:
@@ -152,38 +155,21 @@ def _open(rule: BracketRule, e) -> dict:
     return {partner: tuple(row) for partner, row in opened.items()}
 
 
-class _GapRows(dict):
-    """A necklace view's pair rows: y + x -> after(y) + before(x), merged by
-    string with the zero sums dropped, built the first time the pair is
-    read; a letter without an after or before row adds nothing."""
-
-    __slots__ = ("after", "before")
-
-    def __init__(self, after: dict, before: dict):
-        super().__init__()
-        self.after, self.before = after, before
-
-    def __missing__(self, pair):
-        sums = dict(self.after.get(pair[0], {}))
-        for w, c in self.before.get(pair[1], {}).items():
-            sums[w] = sums.get(w, 0) + c
-        row = self[pair] = tuple([(w, c) for w, c in sums.items() if c])
-        return row
-
-
 @lru_cache(maxsize=1)
 def _necklace_view(rule: BracketRule, e) -> tuple:
-    """_open(rule, e) as necklace_bracket reads it: (rows, gaps, den, decode).
+    """_open(rule, e) as necklace_bracket reads it:
+    (rows, pairs, after, before, den).
 
     Each partner letter's words, as code strings (see necklace_bracket), are
     merged by string with their coefficients summed, the zero sums dropped
     and the rest cleared to integers over one common denominator den; then
     split by the letter x they replace.  A word that ends with x goes to
-    gaps.before[x] less that letter, else one that begins with x to
-    gaps.after[x] less it, each as a dict word -> coefficient, and the rest
-    to rows[x], a tuple of (word, coefficient).  gaps is a _GapRows; decode
-    maps each generator's character back to its Letter.  Kept for the last
-    (rule, e), keyed as _open is."""
+    before[x] less that letter, else one that begins with x to after[x]
+    less it, and the rest to rows[x].  For each letter y with an after row
+    and x with a before row, pairs[y + x] is after[y] + before[x], merged
+    by string with the zero sums dropped: () when they all cancel.  Every
+    row is a tuple of (word, coefficient).  Kept for the last (rule, e),
+    keyed as _open is."""
     merged = {}
     for partner, row in _open(rule, e).items():
         sums: dict = {}
@@ -193,18 +179,25 @@ def _necklace_view(rule: BracketRule, e) -> tuple:
         merged[chr(partner)] = [(k, c) for k, c in sums.items() if c]
     # an int is its own numerator over the denominator 1
     den = lcm(*(c.denominator for row in merged.values() for _, c in row))
-    rows, after, before = {}, {}, {}
+    kinds = rows, after, before = {}, {}, {}
     for x, row in merged.items():
         for k, c in row:
             c = c.numerator * (den // c.denominator)
             if k[-1:] == x:
-                before.setdefault(x, {})[k[:-1]] = c
+                before.setdefault(x, []).append((k[:-1], c))
             elif k[:1] == x:
-                after.setdefault(x, {})[k[1:]] = c
+                after.setdefault(x, []).append((k[1:], c))
             else:
                 rows.setdefault(x, []).append((k, c))
-    rows = {x: tuple(row) for x, row in rows.items()}
-    return rows, _GapRows(after, before), den, {chr(a): a for a in rule.generators}
+    pairs = {}
+    for y, ends in after.items():
+        for x, starts in before.items():
+            sums = dict(ends)
+            for w, c in starts:
+                sums[w] = sums.get(w, 0) + c
+            pairs[y + x] = tuple([(w, c) for w, c in sums.items() if c])
+    rows, after, before = [{x: tuple(row) for x, row in kind.items()} for kind in kinds]
+    return rows, pairs, after, before, den
 
 
 def double_bracket(rule: BracketRule, a, b) -> TensorElement:
@@ -246,16 +239,17 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
     A middle u . a_>p . a_<p . v that ends with b_q is inserted, less that
     letter, into the gap before b_q; else one that begins with b_q, less it,
     into the gap after.  So each cyclic gap g of b, between b_(g-1) and
-    b_g, reads its pair row of the view once and keys b_<g . w . b_>=g
-    (gap 0 keys w . b); every other middle is spliced per position, keyed
-    from the first letter of b.  Then each word b added, read back from the
+    b_g, reads the view's pair row of those letters once, or the one row of
+    the two that exists, and keys b_<g . w . b_>=g (gap 0 keys w . b);
+    every other middle is spliced per position, keyed from the first
+    letter of b.  Then each word b added, read back from the
     dict's end, that begins with b merges into its rotation by len(b) if
     that sum is nonzero.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
     if not (e1.terms and e2.terms):  # zero, and no letter is checked
         return NecklaceElement()
-    rows, gaps, den, decode = _necklace_view(rule, e1)
+    rows, pairs, after, before, den = _necklace_view(rule, e1)
     # e2's coefficients over one common denominator too, so the sums stay in
     # int; its words become code strings, as the view's rows are
     den2 = lcm(*(c.denominator for c in e2.terms.values()))
@@ -267,7 +261,9 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
         size, mark, y = len(code), len(out), code[-1:]
         for g, x in enumerate(code):
             # gap g, between y = b_(g-1) and x = b_g, cyclically
-            row = gaps[y + x]
+            row = pairs.get(y + x)
+            if row is None:  # a pair row that cancelled to () stays empty
+                row = after.get(y) or before.get(x)
             if row:
                 head, tail = code[:g], code[g:]
                 for w, c in row:
@@ -292,6 +288,7 @@ def necklace_bracket(rule: BracketRule, e1, e2) -> NecklaceElement:
             k = canonical_rotation(k)
             sums[k] = sums.get(k, 0) + c
     den *= den2
+    decode = rule.decode
     # decode from a list: a tuple built from an iterator of unknown length
     # regrows a temporary that the tuple free lists keep (decompose's peak RSS)
     return NecklaceElement({

@@ -55,11 +55,6 @@ def _json(out: list, value, pad="\n") -> None:
             sep = "," + inner
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)) and value:
-        try:
-            out.append("[" + inner + ("," + inner).join(map(_string, value)) + pad + "]")
-            return
-        except TypeError:  # an item is not a string
-            pass
         # a list of lists of strings, as an element's terms are, takes no
         # call per item
         deeper = inner + "  "

@@ -220,12 +220,7 @@ class PolyMatrix:
 
     def __sub__(self, other):
         self._check(other)
-        return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self + other * -1
 
     def _check(self, other):
         if not isinstance(other, PolyMatrix) or other.size != self.size:

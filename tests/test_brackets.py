@@ -369,13 +369,13 @@ def test_an_ngl_opening_that_merges_rows():
         Necklace.of(Word([e11, e12, e21])): 5,
     })
     _necklace_view.cache_clear()
-    rows, gaps, den, decode = _necklace_view(rule, left)
-    kept = [*(dict(row) for row in rows.values()), *gaps.after.values(), *gaps.before.values()]
+    rows, _, after, before, den = _necklace_view(rule, left)
+    kept = [dict(row) for kind in (rows, after, before) for row in kind.values()]
     assert sum(map(len, kept)) < sum(map(len, _open(rule, left).values()))
     # e11e11's two openings sum its 1/2 to whole numbers, so only the 3 is left
     assert den == 3 and all(type(c) is int for row in kept for c in row.values())
     assert _necklace_view(rule, NecklaceElement(dict(left.terms))) is _necklace_view(rule, left)
-    assert set(decode.values()) == set(rule.generators)
+    assert set(rule.decode.values()) == set(rule.generators)
     r = rng(31)
     rights = [_sampled_necklace_element(r, rule.generators) for _ in range(40)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
@@ -406,10 +406,10 @@ def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket
     gens = rule.generators  # e11, e12, ... as x1, x2, ...
     singles = [NecklaceElement.of(Word([g])) for g in gens]
     left = _sampled_necklace_element(r, gens) + NecklaceElement.of(Word(gens[:2]))
-    rows, gaps, _, _ = _necklace_view(rule, left)
+    rows, _, _, before, _ = _necklace_view(rule, left)
     assert not any(k[:1] == x for x, row in rows.items() for k, _ in row)
     e12 = chr(gens[1])
-    assert gaps.before[e12].get(e12)
+    assert dict(before[e12]).get(e12)
     rights = singles + [_sampled_necklace_element(r, gens) for _ in range(30)]
     wants = [project_to_necklace(loday_bracket(rule, FreeElement(left.terms), FreeElement(e.terms))) for e in rights]
     assert sum(map(bool, wants)) > 15 and any(wants[:len(singles)])
@@ -417,23 +417,41 @@ def test_a_word_keyed_from_its_last_position_matches_the_projected_loday_bracket
 
 
 def test_a_gap_whose_left_letter_has_no_rows_reads_the_right_letter_alone():
-    """x1x1* opens only at partners x1* and x1, so x2 has no row of any kind;
-    the gap of x1*x2 between x2 and x1* still reads x1*'s before row."""
+    """x1x1* opens only at partners x1* and x1, into before rows, so x2 has
+    no row of any kind and no letter pair has a pair row; the gap of x1*x2
+    between x2 and x1* still reads x1*'s before row."""
     left = NecklaceElement.of("x1x1*")
     _necklace_view.cache_clear()
-    rows, gaps, _, _ = _necklace_view(CANON2, left)
+    rows, pairs, after, before, _ = _necklace_view(CANON2, left)
     x2 = chr(Letter(2))
-    assert x2 not in rows and x2 not in gaps.after and x2 not in gaps.before
+    assert x2 not in rows and x2 not in after and x2 not in before
     want = NecklaceElement.of("x1*x2")
     assert kontsevich_bracket(left, "x1*x2", 2) == want
     assert necklace_bracket(CANON2, left, "x1*x2") == want
-    assert set(gaps) == {x2 + chr(Letter(1, True)), chr(Letter(1, True)) + x2}
+    assert not pairs and before[chr(Letter(1, True))]
+
+
+def test_a_pair_row_that_cancels_reads_as_empty():
+    """x1x1*x1* opens at x1 into the before row x1* of x1* and at its last
+    x1* into the after row x1* of x1, with opposite signs: the pair row
+    (x1, x1*) cancels to ().  The gap of x1x1* between x1 and x1* reads it
+    as empty and not the after row alone, which would add -x1x1*x1*."""
+    left = NecklaceElement.of("x1") + NecklaceElement.of("x1x1*x1*")
+    _necklace_view.cache_clear()
+    _, pairs, after, before, _ = _necklace_view(CANON1, left)
+    x, xs = chr(Letter(1)), chr(Letter(1, True))
+    assert pairs[x + xs] == () and after[x] and before[xs]
+    want = kontsevich_bracket(left, "x1x1*", 1)
+    assert want == NecklaceElement.of("x1") - NecklaceElement.of("x1x1*x1*")
+    assert necklace_bracket(CANON1, left, "x1x1*") == want
 
 
 @pytest.mark.parametrize("rule", [CANON1, CANON2, ngl(2)], ids=["canonical1", "canonical2", "ngl2"])
 def test_a_one_letter_right_necklace_reads_the_pair_of_its_letter_alone(rule):
     """The one gap of a one-letter necklace x lies between x and itself, so
-    the bracket reads the pair row (x, x) and the general row of x."""
+    the bracket reads the pair row (x, x) and the general row of x; the
+    view holds a pair row for every letter pair with an after and a before
+    row."""
     r = rng(43)
     nonzero = 0
     for _ in range(12):
@@ -446,7 +464,8 @@ def test_a_one_letter_right_necklace_reads_the_pair_of_its_letter_alone(rule):
             if rule in (CANON1, CANON2):
                 assert got == kontsevich_bracket(left, single, len(rule.generators) // 2)
             if left.terms:
-                assert set(_necklace_view(rule, left)[1]) == {chr(g) * 2}
+                _, pairs, after, before, _ = _necklace_view(rule, left)
+                assert set(pairs) == {y + x for y in after for x in before}
             nonzero += bool(got)
     assert nonzero > 10
 
@@ -458,8 +477,8 @@ def test_a_degree_one_left_element_has_general_rows_alone(rule):
     d = len(rule.generators) // 2
     left = NecklaceElement({Necklace.of(Word([g])): Fraction(1 - 2 * k, 3) for k, g in enumerate(rule.generators)})
     _necklace_view.cache_clear()
-    rows, gaps, den, _ = _necklace_view(rule, left)
-    assert not gaps.after and not gaps.before and den == 3
+    rows, _, after, before, den = _necklace_view(rule, left)
+    assert not after and not before and den == 3
     assert all(k == "" for row in rows.values() for k, _ in row)
     r = rng(47)
     rights = [_sampled_necklace_element(r, rule.generators) for _ in range(40)]
@@ -480,8 +499,8 @@ def test_middles_that_neither_begin_nor_end_with_their_letter_splice_per_positio
     gens = rule.generators
     left = NecklaceElement.of(Word(gens[:3]), Fraction(3, 2))
     _necklace_view.cache_clear()
-    rows, gaps, _, _ = _necklace_view(rule, left)
-    assert rows and gaps.after and gaps.before
+    rows, _, after, before, _ = _necklace_view(rule, left)
+    assert rows and after and before
     assert all(k[:1] != x and k[-1:] != x for x, row in rows.items() for k, _ in row)
     r = rng(53)
     rights = [_sampled_necklace_element(r, gens) for _ in range(40)]

@@ -15,6 +15,7 @@ def test_arithmetic():
     assert p - p == Polynomial.zero()
     assert (2 * X) / 2 == X
     assert X * 0 == Polynomial.zero()
+    assert 3 - X == -X + 3 and repr(3 - X) == "-x + 3"
     assert Polynomial.constant(Fraction(1, 2)) + Polynomial.constant(Fraction(1, 2)) == 1
 
 
@@ -77,6 +78,7 @@ def test_matrix_ops():
     assert (m**0) == PolyMatrix.identity(2)
     assert (m**2) == sq
     assert (m - m).trace().is_zero
+    assert repr(PolyMatrix([[1, Y], [0, 2]])) == "[[1, y]; [0, 2]]"
 
 
 def test_generic_matrix():

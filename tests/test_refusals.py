@@ -13,8 +13,11 @@ from necklaces import (
     PolyMatrix,
     StructureConstants,
     TensorElement,
+    center_check,
+    center_element,
     center_witness,
     classify_point,
+    cn_multiplicity,
     double_bracket,
     enumerate_necklaces,
     generic_matrices,
@@ -119,6 +122,13 @@ REFUSALS = {
     ),
     "word_float": (lambda: word(1.5), TypeError, "cannot make a word from 1.5"),
     "word_bool": (lambda: word(True), TypeError, "cannot make a word from True"),
+    "cn_multiplicity": (lambda: cn_multiplicity(3, 2), ValueError, "need 0 <= m <= n/2"),
+    "center_element": (lambda: center_element(1, -1), ValueError, "n must be >= 0"),
+    "center_check": (lambda: center_check(1, 2, 0), ValueError, "degree_bound must be >= 1"),
+    "letter_int_star": (
+        lambda: Letter(1, 1),
+        TypeError, "a letter takes an int index and a bool star, got int and int",
+    ),
 }
 
 

@@ -11,6 +11,7 @@ def test_check_entries_compare_by_value():
 def test_check_reports_compare_by_title_and_entries():
     one, two = CheckReport("t"), CheckReport("t")
     assert one == two and one.entries is not two.entries
+    assert repr(one) == "CheckReport('t', [])"
     one.add("first", 1)
     assert one != two and one.entries == [CheckEntry("first", True)]
     two.add("first", True)
