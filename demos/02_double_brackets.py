@@ -35,7 +35,7 @@ print()
 
 # the combinatorial rule: remove x from one necklace and x* from the
 # other, join the opened strands, subtract the swapped version
-print("cut-and-join {xx, x*x*} =", kontsevich_bracket("xx", "x*x*", 1))
+print("cut-and-join {xx, x*x*} =", kontsevich_bracket("xx", "x*x*"))
 print("engine       {xx, x*x*} =", necklace_bracket(rule, "xx", "x*x*"))
 print()
 

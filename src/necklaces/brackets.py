@@ -16,15 +16,13 @@ both walks: each term of the first argument is opened at each letter into
 rows keyed by partner letter, and double_bracket walks each position of
 each term of the second and takes only the row of its letter (x_i against
 x_i* alone under the canonical rule); necklace_bracket reads the same rows
-through a view, by gap and by position.  The last opening is kept, so a run
-of brackets with one left argument opens it once: c_n in a center check, a
-against every term of {{b, c}} in a double Jacobi check.
-_open checks the letters of each term it opens, so a kept opening is not
-checked again, and each walk checks each word of the second argument.
+through a view, by gap and by position.  _open checks the letters of each
+term it opens, and each walk checks each word of the second argument.
 
 necklace_bracket reads the opening through its necklace view
-(_necklace_view), kept like the opening in a one-slot cache of its own:
-merged integer rows of code strings, one character chr(code) per letter.
+(_necklace_view), kept for the last left argument, so a run of brackets
+with one left argument, c_n in a center check, views it once: merged
+integer rows of code strings, one character chr(code) per letter.
 It never builds a free-algebra element: it sums its collapsed words as code
 strings in int and decodes into Letters, through the rule's table of
 generator characters, only the necklaces whose sums stay nonzero.  A code
@@ -133,15 +131,10 @@ class BracketRule:
             raise ValueError(f"letter {a.name} is not a generator of this rule")
 
 
-@lru_cache(maxsize=1)
 def _open(rule: BracketRule, e) -> dict:
     """e opened at each letter a_p, once per term u (x) v of each partner b_q:
     b_q -> ((w, c_a * c, cut), ...) with w = u . a_>p . a_<p . v and
-    cut = len(u . a_>p).
-
-    Each term's letters are checked as it is opened.  Kept for the last
-    (rule, e), the rule by identity and e by content; elements are
-    immutable and the walks only read the rows.
+    cut = len(u . a_>p).  Each term's letters are checked as it is opened.
     """
     opened: dict = {}
     for a, ca in e.terms.items():
@@ -169,7 +162,8 @@ def _necklace_view(rule: BracketRule, e) -> tuple:
     and x with a before row, pairs[y + x] is after[y] + before[x], merged
     by string with the zero sums dropped: () when they all cancel.  Every
     row is a tuple of (word, coefficient).  Kept for the last (rule, e),
-    keyed as _open is."""
+    the rule by identity and e by content; elements are immutable and
+    necklace_bracket only reads the rows."""
     merged = {}
     for partner, row in _open(rule, e).items():
         sums: dict = {}
@@ -309,17 +303,15 @@ def _splice(out: dict, a: Word, b: Word, c) -> None:
                 out[key] = out.get(key, 0) + c
 
 
-def kontsevich_bracket(e1, e2, d: int) -> NecklaceElement:
+def kontsevich_bracket(e1, e2) -> NecklaceElement:
     """Combinatorial necklace bracket by splicing, term pair by term pair;
     no tensor algebra involved.
 
     Serves as an independent oracle for necklace_bracket with the canonical
-    rule on 2d letters.
+    rule on any letters that cover the two elements: the splice pairs x_i
+    with x_i* at whatever index it meets.
     """
     e1, e2 = _as_necklace_element(e1), _as_necklace_element(e2)
-    for n in (*e1.terms, *e2.terms):
-        if n.max_index() > d:
-            raise ValueError(f"necklace {n!r} uses letters beyond x{d}")
     out: dict = {}
     for n1, c1 in e1.terms.items():
         for n2, c2 in e2.terms.items():

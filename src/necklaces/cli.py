@@ -153,14 +153,13 @@ def cmd_bracket(args):
         # the canonical bracket of two elements reads only the letter pairs
         # they use, so the rule holds those alone, whatever their indices
         used = {a.index for e in (e1, e2) for n in e.terms for a in n}
-        d = max(used, default=1)
         rule = brackets.BracketRule.canonical_on(used)
     result = brackets.necklace_bracket(rule, e1, e2)
     payload = {"bracket": _necklace_element_json(result, names)}
     text = [f"bracket: {payload['bracket']['text']}"]
     if not canonical:
         return text, payload, None, True
-    oracle = brackets.kontsevich_bracket(e1, e2, d)
+    oracle = brackets.kontsevich_bracket(e1, e2)
     agree = oracle == result
     # equal elements print alike, so an agreeing oracle shares the bracket's
     # JSON rather than holding a second copy of it

@@ -109,9 +109,6 @@ class _Combination:
     def __truediv__(self, c):
         return self.scaled(Fraction(1, 1) / _coeff(c))
 
-    def __len__(self):
-        return len(self.terms)
-
     # the sort key of a (key, coefficient) item; subclasses whose keys are
     # words give one that compares in C, see _by_word and _by_words
     _order = staticmethod(lambda kv: kv[0])

@@ -12,7 +12,6 @@ a Jacobi-consistent bracket.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -61,7 +60,12 @@ class StructureConstants:
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j, k), v in self.a.items():
             rows.setdefault((i, j), {})[k] = v
-        for i, j, k in itertools.product(range(1, self.dim + 1), repeat=3):
+        # (x_i x_j) x_k - x_i (x_j x_k) is zero unless (i, j) or (j, k) has
+        # a stored product; those triples, in the order of a full scan
+        dims = range(1, self.dim + 1)
+        triples = {(i, j, k) for i, j in rows for k in dims}
+        triples.update((i, j, k) for j, k in rows for i in dims)
+        for i, j, k in sorted(triples):
             diff: dict[int, Fraction] = {}  # (x_i x_j) x_k - x_i (x_j x_k)
             for t, c in rows.get((i, j), {}).items():
                 for s, c2 in rows.get((t, k), {}).items():

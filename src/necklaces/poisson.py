@@ -85,13 +85,12 @@ def trace_generator_algebra() -> PoissonPolyAlgebra:
     routes against each other.
     """
     t1, t2, t3, t4, t5 = (Polynomial.variable(g) for g in TRACE_GENERATORS)
-    z = Polynomial.zero()
     table = [
-        [z, 2 + z, z, 2 * t2, t1],
-        [-2 + z, z, -2 * t1, z, -t2],
-        [z, 2 * t1, z, 4 * t5, 2 * t3],
-        [-2 * t2, z, -4 * t5, z, -2 * t4],
-        [-t1, t2, -2 * t3, 2 * t4, z],
+        [0, 2, 0, 2 * t2, t1],
+        [-2, 0, -2 * t1, 0, -t2],
+        [0, 2 * t1, 0, 4 * t5, 2 * t3],
+        [-2 * t2, 0, -4 * t5, 0, -2 * t4],
+        [-t1, t2, -2 * t3, 2 * t4, 0],
     ]
     return PoissonPolyAlgebra(TRACE_GENERATORS, table)
 
@@ -112,14 +111,13 @@ def sl2_heisenberg_algebra() -> PoissonPolyAlgebra:
     central element {X, Y} already evaluated to 2; built and validated once
     per process, and shared, as the algebra is immutable."""
     x, y, e, f, h = (Polynomial.variable(g) for g in SEMIDIRECT_GENERATORS)
-    z = Polynomial.zero()
     table = [
-        #  X        Y       E       F       H
-        [z, 2 + z, z, -y, -x],  # X
-        [-2 + z, z, -x, z, y],  # Y
-        [z, x, z, h, -2 * e],  # E
-        [y, z, -h, z, 2 * f],  # F
-        [x, -y, 2 * e, -2 * f, z],  # H
+        # columns X, Y, E, F, H
+        [0, 2, 0, -y, -x],  # X
+        [-2, 0, -x, 0, y],  # Y
+        [0, x, 0, h, -2 * e],  # E
+        [y, 0, -h, 0, 2 * f],  # F
+        [x, -y, 2 * e, -2 * f, 0],  # H
     ]
     return PoissonPolyAlgebra(SEMIDIRECT_GENERATORS, table)
 

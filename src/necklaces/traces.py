@@ -77,19 +77,15 @@ def trace_of(e, mats) -> Polynomial:
     return Polynomial(out)
 
 
-@lru_cache(maxsize=None)
-def _mats2() -> tuple[PolyMatrix, PolyMatrix]:
-    return tuple(generic_matrices(1, 2))
-
-
 # the necklaces whose traces are the five generators, in TRACE_GENERATORS' order
 _TABLE2_NECKLACES = ("x1", "x1*", "x1x1", "x1*x1*", "x1x1*")
 
 
-@lru_cache(maxsize=None)
 def generator_polynomials() -> dict[str, Polynomial]:
-    """The five trace generators as polynomials in the 8 indeterminates."""
-    return {g: trace_of(w, _mats2()) for g, w in zip(poisson.TRACE_GENERATORS, _TABLE2_NECKLACES)}
+    """The five trace generators as polynomials in the 8 indeterminates;
+    a new dict on every call."""
+    mats = generic_matrices(1, 2)
+    return {g: trace_of(w, mats) for g, w in zip(poisson.TRACE_GENERATORS, _TABLE2_NECKLACES)}
 
 
 def table2() -> poisson.PoissonPolyAlgebra:
@@ -122,7 +118,7 @@ def _regular_mats() -> tuple[PolyMatrix, PolyMatrix]:
     lx = PolyMatrix([[0, -dx, 0, 0], [1, t1, 0, 0], [0, 0, 0, -dx], [0, 0, 1, t1]])
     ly = PolyMatrix([[0, t5 - t1 * t2, -dy, -t1 * dy], [0, t2, 0, dy], [1, t1, t2, t5], [0, -1, 0, 0]])
     gens = generator_polynomials()
-    x, xs = _mats2()
+    x, xs = generic_matrices(1, 2)
     basis = (PolyMatrix.identity(2), x, xs, x * xs)
     regular = (PolyMatrix.identity(4), lx, ly, lx * ly)
     for j, name in enumerate(("1", "x", "x*", "xx*")):
@@ -147,7 +143,7 @@ def verify_cayley_hamilton() -> CheckReport:
     """tr([x,x*]^{2n}) = 2^{1-n} tr([x,x*]^2)^n for n = 1, 2 and the odd
     traces up to tr([x,x*]^5) vanish, as exact identities in the 8
     indeterminates of two generic 2x2 matrices."""
-    x, xs = _mats2()
+    x, xs = generic_matrices(1, 2)
     m = x * xs - xs * x
     report = CheckReport("Cayley-Hamilton consequences at n=2")
     m2 = m * m
@@ -192,7 +188,7 @@ def casimir_image() -> CheckReport:
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()
     gens = generator_polynomials()
-    mats = _mats2()
+    mats = generic_matrices(1, 2)
     report = CheckReport("Casimir image of the central elements at n=2")
     c2_trace = trace_of(brackets.center_element(1, 2), mats)
     report.add(
@@ -234,7 +230,7 @@ def casimir_image_as_displayed() -> CheckReport:
     stated = stated_casimir_expression()
     casimir = casimir_polynomial()
     gens = generator_polynomials()
-    c2_trace = trace_of(brackets.center_element(1, 2), _mats2())
+    c2_trace = trace_of(brackets.center_element(1, 2), generic_matrices(1, 2))
     report = CheckReport("displayed Casimir image variants")
     report.add(
         "tr([x,x*]^2) equals the stated expression",

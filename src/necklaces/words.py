@@ -123,9 +123,6 @@ class Word(tuple):
     def rotations(self):
         return [self.rotated(k) for k in range(max(1, len(self)))]
 
-    def max_index(self) -> int:
-        return max((a.index for a in self), default=0)
-
 
 EMPTY_WORD = Word()
 

@@ -154,7 +154,7 @@ def test_criterion_04_bracket_oracle_equivalence():
         if n1.degree + n2.degree > 10:
             continue
         checked += 1
-        if kontsevich_bracket(n1, n2, 1) != necklace_bracket(
+        if kontsevich_bracket(n1, n2) != necklace_bracket(
             rule1, NecklaceElement.of(n1), NecklaceElement.of(n2)
         ):
             ok = False
@@ -165,7 +165,7 @@ def test_criterion_04_bracket_oracle_equivalence():
         n1 = Necklace.of(random_word(r, alpha, 0, 4))
         n2 = Necklace.of(random_word(r, alpha, 0, 4))
         checked += 1
-        if kontsevich_bracket(n1, n2, 2) != necklace_bracket(
+        if kontsevich_bracket(n1, n2) != necklace_bracket(
             rule2, NecklaceElement.of(n1), NecklaceElement.of(n2)
         ):
             ok = False

@@ -122,6 +122,36 @@ def test_the_cli_makes_no_check_report():
     assert not found, found
 
 
+def _cached_functions(paths) -> set[str]:
+    """Names of the functions decorated with functools.lru_cache or cache,
+    called or not, by name or as an attribute."""
+    found = set()
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                        found.add(node.name)
+    return found
+
+
+def test_only_the_caches_that_pay_are_kept():
+    """A cache holds state for the life of the process, so each one names
+    the traffic that pays for it:
+    - brackets._necklace_view: the last left argument's view, read by every
+      bracket of a run with one left argument, such as the 1,017 brackets
+      of c_3 in a center check;
+    - traces._regular_mats: the certified left multiplications, about 4 ms
+      warm, read by each of table2's 25 cells;
+    - poisson.sl2_heisenberg_algebra: the immutable algebra, validated on
+      every generator triple once and shared by change_coordinates and
+      casimir_check.
+    A new cache edits this set and says here what pays for it."""
+    paths = sorted(Path(necklaces.__file__).parent.glob("*.py"))
+    assert _cached_functions(paths) == {"_necklace_view", "_regular_mats", "sl2_heisenberg_algebra"}
+
+
 def test_the_guard_sees_unused_imports_and_dead_privates(tmp_path):
     a, b = tmp_path / "a.py", tmp_path / "b.py"
     a.write_text(

@@ -36,6 +36,11 @@ def test_free_element_algebra():
     assert x / 2 == FreeElement.of(word("x"), Fraction(1, 2))
     assert (x**3).terms == {word("xxx"): Fraction(1)}
     assert x**0 == FreeElement.unit()
+    # a free element and a necklace element do not combine
+    n = NecklaceElement.of("x")
+    for combine in (lambda: x + n, lambda: x - n, lambda: x * n):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_free_element_powers_match_repeated_products():
@@ -61,6 +66,8 @@ def test_zero_pruning_and_canonical_zero():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         FreeElement({word("x"): 0.5})
+    with pytest.raises(TypeError):
+        1.5 * NecklaceElement.of("x")
 
 
 def test_commutator_projects_to_zero():

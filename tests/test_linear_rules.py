@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,57 @@ def test_validation_rejects_non_associative():
     with pytest.raises(AssociativityError) as e:
         StructureConstants(2, {(1, 1, 1): 1, (1, 1, 2): 1, (2, 1, 1): 1})
     assert len(e.value.indices) == 4
+
+
+def _full_scan_first_witness(dim, table):
+    """First (i, j, k, s), over all dim^3 triples in order, where
+    (x_i x_j) x_k and x_i (x_j x_k) differ in the x_s coordinate; None if
+    associative.  The exhaustive walk, kept as an oracle for the walk over
+    the triples with a stored product."""
+    rows = {}
+    for (i, j, k), v in table.items():
+        if v:
+            rows.setdefault((i, j), {})[k] = v
+    for i, j, k in itertools.product(range(1, dim + 1), repeat=3):
+        diff = {}
+        for t, c in rows.get((i, j), {}).items():
+            for s, c2 in rows.get((t, k), {}).items():
+                diff[s] = diff.get(s, 0) + c * c2
+        for t, c in rows.get((j, k), {}).items():
+            for s, c2 in rows.get((i, t), {}).items():
+                diff[s] = diff.get(s, 0) - c * c2
+        bad = [s for s, v in diff.items() if v]
+        if bad:
+            return (i, j, k, min(bad))
+    return None
+
+
+def test_validation_names_the_first_triple_of_a_full_scan():
+    """Validation walks only the triples (i, j, k) where (i, j) or (j, k)
+    has a stored product, so its cost follows the table and not dim^3; on
+    perturbed gl3 tables it names the triple the full scan names first."""
+    r = rng(7)
+    witnesses = []
+    for trial in range(40):
+        table = dict(gl_constants(3).a)
+        for _ in range(1 + trial % 3):
+            key = tuple(r.randrange(1, 10) for _ in range(3))
+            delta = Fraction(r.choice([-2, -1, 1, 2]), r.choice([1, 2]))
+            table[key] = table.get(key, Fraction(0)) + delta
+        try:
+            StructureConstants(9, table)
+            got = None
+        except AssociativityError as exc:
+            got = exc.indices
+        assert got == _full_scan_first_witness(9, table), table
+        witnesses.append(got)
+    assert len(set(witnesses)) > 20
+    # an empty or one-entry table of dimension 10^4: a full scan would take
+    # 10^12 steps
+    start = time.perf_counter()
+    StructureConstants(10**4, {})
+    StructureConstants(10**4, {(1, 1, 1): 1})
+    assert time.perf_counter() - start < 1
 
 
 def test_perturbed_gl2_tables_rejected():

@@ -51,6 +51,8 @@ def test_repr_deterministic_grlex():
 def test_float_rejected():
     with pytest.raises(TypeError):
         Polynomial.constant(0.5)
+    with pytest.raises(TypeError):
+        X * 1.5
 
 
 def test_symplectic_poisson():

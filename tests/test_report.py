@@ -5,6 +5,7 @@ def test_check_entries_compare_by_value():
     assert CheckEntry("a", True) == CheckEntry("a", True, "")
     assert CheckEntry("a", True) != CheckEntry("a", False)
     assert CheckEntry("a", False, "why") != CheckEntry("a", False, "other")
+    assert CheckEntry("a", True) != ("a", True, "")
     assert repr(CheckEntry("a", False, "why")) == "CheckEntry('a', False, 'why')"
 
 
@@ -16,6 +17,7 @@ def test_check_reports_compare_by_title_and_entries():
     assert one != two and one.entries == [CheckEntry("first", True)]
     two.add("first", True)
     assert one == two and one != CheckReport("other", list(one.entries))
+    assert one != ("t", one.entries)
 
 
 def test_check_report_str_and_verdict():

@@ -335,6 +335,14 @@ def test_casimir_image_exact_relations():
     assert report.ok, "\n".join(str(e) for e in report.failures())
 
 
+def test_editing_the_generator_polynomials_leaves_later_checks_alone():
+    """Each call builds its own dict, so a caller that edits one changes
+    no later check's generators."""
+    gens = generator_polynomials()
+    gens["tr(x)"] = Polynomial.zero()
+    assert casimir_image().ok
+
+
 def test_casimir_image_displayed_variants_fail_by_factor():
     # the variants without the -2 factor are exactly the audited defect
     report = casimir_image_as_displayed()
