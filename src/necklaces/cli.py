@@ -14,6 +14,7 @@ check passes, 1 when one fails, 2 on a usage or input error (one stderr line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -43,9 +44,9 @@ _string = json.encoder.encode_basestring_ascii
 
 def _json(out: list, value, pad="\n") -> None:
     """Append json.dumps(value, indent=2, sort_keys=True) to out, in pieces
-    for one "".join.  With indent set the standard library encodes in pure
-    Python; here a list of strings, as each term of a necklace element is,
-    is one piece, joined over the C string encoder."""
+    for _emit to join a chunk at a time.  With indent set the standard
+    library encodes in pure Python; here a list of strings, as each term of
+    a necklace element is, is one piece, joined over the C string encoder."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         sep = "{" + inner
@@ -76,21 +77,24 @@ def _json(out: list, value, pad="\n") -> None:
         out.append(_string(value) if isinstance(value, str) else json.dumps(value))
 
 
+# Pieces per write.  One join of the whole document would be held beside the
+# pieces, and encoded into one more copy; a write per piece is a write(2)
+# each when stdout is unbuffered.
+_CHUNK = 256
+
+
 def _emit(args, text_lines, payload, csv_lines):
     if args.format == "json":
         pieces = []
         _json(pieces, payload)
         pieces.append("\n")
-        body = "".join(pieces)
-    elif args.format == "csv":
-        body = "\n".join(csv_lines) + "\n"
     else:
-        body = "\n".join(text_lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+        lines = csv_lines if args.format == "csv" else text_lines
+        pieces = ["\n"] * (2 * len(lines))
+        pieces[::2] = lines
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        for i in range(0, len(pieces), _CHUNK):
+            out.write("".join(pieces[i : i + _CHUNK]))
 
 
 def _report_payload(r: report.CheckReport):
@@ -316,16 +320,13 @@ def cmd_ngl(args):
     sc = linear_rules.gl_constants(n)
     rule = linear_rules.linear_rule(sc, names=linear_rules.matrix_unit_names(n))
     names = rule.names
-    report = linear_rules.check_degree1_commutator(sc, rule)
+    report, table = linear_rules._degree1_brackets(sc, rule)
     text = [f"degree-1 brackets of the {n}x{n} matrix-algebra rule"]
     pairs = []
-    units = sorted(names)
-    for a in units:
-        for b in units:
-            got = brackets.necklace_bracket(rule, words.Word([a]), words.Word([b]))
-            got = elements.format_element(got, names)
-            pairs.append({"a": names[a], "b": names[b], "bracket": got})
-            text.append(f"  {{{names[a]}, {names[b]}}} = {got}")
+    for a, b, got in table:
+        got = elements.format_element(got, names)
+        pairs.append({"a": names[a], "b": names[b], "bracket": got})
+        text.append(f"  {{{names[a]}, {names[b]}}} = {got}")
     text.append(f"matches matrix commutators: {report.ok}")
     payload = {"n": n, "pairs": pairs, "matches_commutators": report.ok}
     return text, payload, None, report.ok

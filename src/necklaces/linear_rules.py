@@ -168,15 +168,21 @@ def ngl(n: int) -> BracketRule:
 def check_degree1_commutator(sc: StructureConstants, rule: BracketRule | None = None) -> CheckReport:
     """Degree-1 necklace brackets must equal commutators of the multiplication;
     a failing entry gives both, in the rule's bead names."""
-    if rule is None:
-        rule = linear_rule(sc)
+    return _degree1_brackets(sc, rule or linear_rule(sc))[0]
+
+
+def _degree1_brackets(sc: StructureConstants, rule: BracketRule):
+    """check_degree1_commutator's report, and (x_i, x_j, {x_i, x_j}) for each
+    ordered pair of beads in order, from one bracket per pair."""
     report = CheckReport(f"degree-1 commutator correspondence, dim={sc.dim}")
     bead = lambda k: Necklace.of(Word([Letter(k)]))
     shown = lambda e: format_element(e, rule.names)
+    table = []
     for i in range(1, sc.dim + 1):
         for j in range(1, sc.dim + 1):
             got = necklace_bracket(rule, bead(i), bead(j))
             expected = NecklaceElement({bead(k): c for k, c in sc.commutator(i, j).items()})
             detail = "" if got == expected else f"got {shown(got)}, expected {shown(expected)}"
             report.add(f"{{x{i}, x{j}}}", not detail, detail)
-    return report
+            table.append((Letter(i), Letter(j), got))
+    return report, table

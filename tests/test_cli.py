@@ -1,8 +1,10 @@
+import itertools
 import json
+import sys
 
 import pytest
 
-from necklaces import brackets, cli, sl2
+from necklaces import brackets, cli, linear_rules, sl2
 from necklaces.brackets import kontsevich_bracket
 from necklaces.cli import main
 from necklaces.elements import Necklace, NecklaceElement, TripleTensor
@@ -218,6 +220,17 @@ def test_ngl_command(capsys):
     assert len(data["pairs"]) == 16
 
 
+def test_ngl_brackets_each_pair_of_beads_once(capsys, monkeypatch):
+    calls = []
+    real = brackets.necklace_bracket
+    counted = lambda *a: calls.append(a) or real(*a)
+    monkeypatch.setattr(brackets, "necklace_bracket", counted)
+    monkeypatch.setattr(linear_rules, "necklace_bracket", counted)
+    code, out = run(capsys, "ngl", "3")
+    assert code == 0 and out.endswith("matches matrix commutators: True\n")
+    assert len(calls) == 81
+
+
 def test_decompose_checks_the_bound_before_the_formula(capsys, monkeypatch):
     def formula(n):
         raise AssertionError(f"decompose_by_formula({n}) ran before the bound was checked")
@@ -276,6 +289,52 @@ def test_json_output_is_the_indented_standard_encoding(capsys, monkeypatch, argv
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0 and len(payloads) == 1
     assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+class _Writes(list):
+    """A stdout that records each write."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def _combination(length, terms, skip):
+    letters = ("x1", "x1*", "x2", "x2*")
+    words = list(itertools.product(letters, repeat=length))[skip::7][:terms]
+    return " + ".join(f"{k}/{k % 3 + 2}*{''.join(w)}" for k, w in enumerate(words, 1))
+
+
+# a bracket of 309 terms; bracket's text is three lines, and csv is defined
+# only for dims, table1 and table2, so text reads ngl 5 (627 lines) and csv
+# reads dims at a chunk short enough to split its 14 lines
+@pytest.mark.parametrize(
+    "fmt, argv, chunk",
+    [
+        ("json", ["bracket", "--", _combination(3, 12, 1), _combination(6, 12, 3)], None),
+        ("text", ["ngl", "5"], None),
+        ("csv", ["dims", "1", "12"], 8),
+    ],
+    ids=["json", "text", "csv"],
+)
+def test_output_is_written_in_chunks_alike_to_stdout_and_to_a_file(tmp_path, monkeypatch, fmt, argv, chunk):
+    docs = []
+    real = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, *rest: docs.append(rest) or real(args, *rest))
+    if chunk:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    writes = _Writes()
+    monkeypatch.setattr(sys, "stdout", writes)
+    path = tmp_path / "out"
+    assert main(["--format", fmt, *argv]) == 0
+    assert main(["--format", fmt, "--output", str(path), *argv]) == 0
+    text, payload, csv_lines = docs[0]
+    if fmt == "json":
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        expected = "\n".join(text if fmt == "text" else csv_lines) + "\n"
+    assert path.read_bytes() == "".join(writes).encode() == expected.encode()
+    assert len(writes) > 1 and max(map(len, writes)) < len(expected)
 
 
 def test_output_to_file(tmp_path, capsys):
