@@ -55,7 +55,7 @@ from .elements import (
     format_element,
     project_to_necklace,
 )
-from .words import Letter, Word, canonical_rotation
+from .words import Letter, Word, _excerpt, canonical_rotation
 
 
 class BracketRule:
@@ -76,7 +76,7 @@ class BracketRule:
         self.genset = genset = frozenset(self.generators)
         if max(genset, default=0) > sys.maxunicode:
             last = (sys.maxunicode + 1) // 2
-            raise ValueError(f"letter {max(genset).name} is past x{last}, the last with a code point")
+            raise ValueError(f"letter {_excerpt(max(genset).name)} is past x{last}, the last with a code point")
         # each generator's character chr(code) -> the generator
         self.decode = {chr(a): a for a in self.generators}
         clean = {}
@@ -128,7 +128,7 @@ class BracketRule:
     def check_letters(self, w: Word):
         if not self.genset.issuperset(w):
             a = next(a for a in w if a not in self.genset)
-            raise ValueError(f"letter {a.name} is not a generator of this rule")
+            raise ValueError(f"letter {_excerpt(a.name)} is not a generator of this rule")
 
 
 def _open(rule: BracketRule, e) -> dict:

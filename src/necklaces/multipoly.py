@@ -1,40 +1,26 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are sorted tuples of (variable name, exponent) pairs; a
-coefficient is an int, or a fractions.Fraction whose denominator is not 1
-(elements._coeff).  Polynomial is an elements._Combination, so it
-shares that class's zero pruning, addition, negation and scaling and only
-adds what is particular to monomials.  Printing uses graded lexicographic
-order so output is deterministic.
+A monomial is the sorted tuple of its variable names, one per factor:
+x^2*y is ("x", "x", "y").  A product of monomials is their sorted
+concatenation, the degree is the length, and a Polynomial iterates and
+prints in graded lex order, the key (-len(m), m).  A monomial grows with
+its degree, not its number of variables; degrees here stay at 10 or below,
+and no command takes an exponent from the user.  A coefficient is an int,
+or a Fraction whose denominator is not 1 (elements._coeff).  Polynomial is
+an elements._Combination: it shares that class's zero pruning, addition,
+negation and scaling and adds only what is particular to monomials.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 
 from .elements import _Combination, _power, _signed_sum
 
-Monomial = tuple[tuple[str, int], ...]
+Monomial = tuple[str, ...]
 
 _ONE: Monomial = ()
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials: each pair of the shorter is merged into
-    the sorted pairs of the longer at the place a binary search finds."""
-    if not (a and b):
-        return a or b
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for name, e in b:
-        i = bisect_left(out, (name,))  # (name,) sorts first among (name, e)
-        if i < len(out) and out[i][0] == name:
-            out[i] = (name, out[i][1] + e)
-        else:
-            out.insert(i, (name, e))
-    return tuple(out)
 
 
 def _dot(row, col) -> "Polynomial":
@@ -43,18 +29,14 @@ def _dot(row, col) -> "Polynomial":
     for a, b in zip(row, col):
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                m = _mono_mul(ma, mb)
+                m = tuple(sorted(ma + mb))
                 out[m] = out.get(m, 0) + ca * cb
     return Polynomial(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_key(m: Monomial):
-    # graded lexicographic: degree first, then names/exponents
-    return (-_mono_degree(m), tuple((name, -e) for name, e in m))
+def _powers(m: Monomial):
+    """The (name, exponent) pairs of a monomial, in name order."""
+    return [(name, len(list(run))) for name, run in groupby(m)]
 
 
 class Polynomial(_Combination):
@@ -62,6 +44,8 @@ class Polynomial(_Combination):
     constant polynomials."""
 
     __slots__ = ()
+
+    _order = staticmethod(lambda kv: (-len(kv[0]), kv[0]))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -73,7 +57,7 @@ class Polynomial(_Combination):
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): 1})
+        return cls({(name,): 1})
 
     def __eq__(self, other):
         # a bool or a Letter is not a scalar: compare unequal, do not raise
@@ -115,13 +99,14 @@ class Polynomial(_Combination):
         return _power(self, n, Polynomial.constant(1))
 
     def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def variables(self) -> set[str]:
-        return {name for m in self.terms for name, _ in m}
+        return set().union(*self.terms)
 
-    def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self.terms.get(tuple(sorted(mono)), 0)
+    def coefficient(self, pairs) -> int | Fraction:
+        """The coefficient of the monomial given as (name, exponent) pairs."""
+        return self.terms.get(tuple(sorted(name for name, e in pairs for _ in range(e))), 0)
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get(_ONE, 0)
@@ -129,16 +114,11 @@ class Polynomial(_Combination):
     def diff(self, name: str) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[name]
-            else:
-                exps[name] = e - 1
-            mono = tuple(sorted(exps.items()))
-            out[mono] = out.get(mono, 0) + c * e
+            e = m.count(name)
+            if e:
+                i = m.index(name)
+                mono = m[:i] + m[i + 1 :]
+                out[mono] = out.get(mono, 0) + c * e
         return Polynomial(out)
 
     def substitute(self, mapping: dict[str, "Polynomial | Fraction | int"]) -> "Polynomial":
@@ -146,7 +126,7 @@ class Polynomial(_Combination):
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             term = Polynomial.constant(c)
-            for name, e in m:
+            for name, e in _powers(m):
                 val = mapping[name] if name in mapping else Polynomial.variable(name)
                 if not isinstance(val, Polynomial):
                     val = Polynomial.constant(val)
@@ -157,8 +137,8 @@ class Polynomial(_Combination):
 
     def __repr__(self):
         return _signed_sum(
-            (self.terms[m], "*".join(name if e == 1 else f"{name}^{e}" for name, e in m))
-            for m in sorted(self.terms, key=_mono_key)
+            (c, "*".join(name if e == 1 else f"{name}^{e}" for name, e in _powers(m)))
+            for m, c in self
         )
 
 

@@ -226,6 +226,7 @@ def parse_word(text: str, alphabet: dict[str, Letter] | None = None) -> Word:
         # "1", "·" and whitespace leave the letter group unmatched
         if name is not None:
             if alphabet is None:
+                _check_digits(m.group(0), "letter")
                 out.append(Letter(int(name) if name else 1, m.group(2) == "*"))
             else:
                 out.append(alphabet[name])

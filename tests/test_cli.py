@@ -83,6 +83,9 @@ LONG = "1" + "0" * 5000
 # 995 nines times 10^1000: within the reader's bounds, but the Casimir of five
 # of them has more than 4,300 digits
 HUGE = "9" * 995 + "e1000"
+# letter indices of 5,000 and of 900 digits, and a rule whose one generator is x1
+LONG_LETTER, WIDE_LETTER = "x" + "9" * 5000, "x" + "9" * 900
+X1_RULE = '{"dim": 1, "a": [[1, 1, 1, "1"]]}'
 
 
 @pytest.mark.parametrize(
@@ -112,9 +115,17 @@ HUGE = "9" * 995 + "e1000"
         (["decompose", LONG], f"argument n: integer '{LONG[:24]}...' has more than 1000 digits"),
         (["center", "1", "2", "0"], "argument bound: expected an integer >= 1, got '0'"),
         (["center", "1", "2", "-1"], "argument bound: expected an integer >= 1, got '-1'"),
+        (["bracket", LONG_LETTER, "x"], f"letter '{LONG_LETTER[:24]}...' has more than 1000 digits"),
+        (["bracket", WIDE_LETTER, "x"], f"letter {WIDE_LETTER[:24]}... is past x557056, the last with a code point"),
+        (
+            ["bracket", WIDE_LETTER, "x1", "--rule", "{tmp}/x1.json"],
+            f"letter {WIDE_LETTER[:24]}... is not a generator of this rule",
+        ),
     ],
 )
-def test_bad_number_and_rule_name_the_input(capsys, argv, message):
+def test_bad_number_and_rule_name_the_input(tmp_path, capsys, argv, message):
+    (tmp_path / "x1.json").write_text(X1_RULE)
+    argv = [a.format(tmp=tmp_path) for a in argv]
     try:
         code = main(argv)
     except SystemExit as e:  # argparse refuses an argument
@@ -438,10 +449,13 @@ BAD_RULE_FILES = {
         ["center", "1", "-1"],
         ["ngl", "0"],
         ["center", "1", "2", "-1"],
+        ["bracket", LONG_LETTER, "x"],
+        ["bracket", WIDE_LETTER, "x"],
+        ["bracket", WIDE_LETTER, "x1", "--rule", "{tmp}/x1.json"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, argv):
-    for name, text in BAD_RULE_FILES.items():
+    for name, text in {**BAD_RULE_FILES, "x1.json": X1_RULE}.items():
         (tmp_path / name).write_text(text)
     argv = [a.format(tmp=tmp_path) for a in argv]
     try:

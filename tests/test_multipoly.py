@@ -131,3 +131,13 @@ def test_equality_with_scalars():
     assert Polynomial.constant(Fraction(1, 2)) == Fraction(1, 2)
     assert Polynomial.zero() == 0
     assert X != 3 and X + 3 != 3
+
+
+def test_iterating_and_printing_share_graded_lex_order():
+    z = Polynomial.variable("z")
+    p = Y**3 + X * Y**2 + X**2 * Y + X**3 + X * Y + z + 1
+    assert repr(p) == "x^3 + x^2*y + x*y^2 + y^3 + x*y + z + 1"
+    printed = [repr(Polynomial({m: 1})) for m, _ in p]
+    assert printed == ["x^3", "x^2*y", "x*y^2", "y^3", "x*y", "z", "1"]
+    assert p.coefficient((("x", 2), ("y", 1))) == 1
+    assert p.coefficient((("y", 1), ("x", 2))) == 1
