@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A monomial is the sorted tuple of its variable names, one per factor:
-x^2*y is ("x", "x", "y").  A product of monomials is their sorted
-concatenation, the degree is the length, and a Polynomial iterates and
-prints in graded lex order, the key (-len(m), m).  A monomial grows with
+x^2*y is ("x", "x", "y"), and p.coefficient(("x", "x", "y")) reads its
+coefficient.  A product of monomials is their sorted concatenation, the
+degree is the length, and a Polynomial iterates and prints in graded lex
+order, the key (-len(m), m).  A monomial grows with
 its degree, not its number of variables; degrees here stay at 10 or below,
 and no command takes an exponent from the user.  A coefficient is an int,
 or a Fraction whose denominator is not 1 (elements._coeff).  Polynomial is
@@ -103,10 +104,6 @@ class Polynomial(_Combination):
 
     def variables(self) -> set[str]:
         return set().union(*self.terms)
-
-    def coefficient(self, pairs) -> int | Fraction:
-        """The coefficient of the monomial given as (name, exponent) pairs."""
-        return self.terms.get(tuple(sorted(name for name, e in pairs for _ in range(e))), 0)
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get(_ONE, 0)
