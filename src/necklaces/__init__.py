@@ -39,7 +39,6 @@ _EXPORTS = {
         "Necklace",
         "NecklaceElement",
         "TensorElement",
-        "TripleTensor",
         "format_element",
         "parse_element",
         "project_to_necklace",

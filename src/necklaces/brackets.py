@@ -49,7 +49,6 @@ from .elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
-    TripleTensor,
     _as_free,
     _as_necklace_element,
     format_element,
@@ -321,27 +320,21 @@ def kontsevich_bracket(e1, e2) -> NecklaceElement:
     return NecklaceElement(out)
 
 
-def _left_extend(rule: BracketRule, a, tensor: TensorElement) -> TripleTensor:
-    # {{a, u (x) v}} := {{a, u}} (x) v
-    out: dict = {}
-    for (u, v), c in tensor.terms.items():
-        inner = double_bracket(rule, a, FreeElement.of(u))
-        for (s, t), c2 in inner.terms.items():
-            key = (s, t, v)
-            out[key] = out.get(key, 0) + c * c2
-    return TripleTensor(out)
-
-
-def verify_double_jacobi(rule: BracketRule, a, b, c) -> TripleTensor:
+def verify_double_jacobi(rule: BracketRule, a, b, c) -> TensorElement:
     """Left-hand side of the double Jacobi identity; zero for a valid rule.
 
-    {{a,{{b,c}}'}} (x) {{b,c}}'' + sigma.( same for (b,c,a) ) + sigma^{-1}.( same for (c,a,b) ).
+    {{a,{{b,c}}'}} (x) {{b,c}}'' + sigma.( same for (b,c,a) ) + sigma^{-1}.( same for (c,a,b) )
+    with {{a, u (x) v}} := {{a, u}} (x) v, keyed by triples of words.  sigma
+    moves the last factor first, so the k-th cyclic triple's terms get sigma^k.
     """
     a, b, c = _as_free(a), _as_free(b), _as_free(c)
-    first = _left_extend(rule, a, double_bracket(rule, b, c))
-    second = _left_extend(rule, b, double_bracket(rule, c, a)).shift()
-    third = _left_extend(rule, c, double_bracket(rule, a, b)).shift_inv()
-    return first + second + third
+    out: dict = {}
+    for k, (x, y, z) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+        for (u, v), c1 in double_bracket(rule, y, z).terms.items():
+            for (s, t), c2 in double_bracket(rule, x, FreeElement.of(u)).terms.items():
+                key = (s, t, v)[-k:] + (s, t, v)[:-k]  # sigma^k
+                out[key] = out.get(key, 0) + c1 * c2
+    return TensorElement(out)
 
 
 def verify_loday_properties(rule: BracketRule, a, b, c) -> tuple[bool, bool]:

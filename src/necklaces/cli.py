@@ -108,6 +108,13 @@ def _report_payload(r: report.CheckReport):
     }
 
 
+def _first_failure(r: report.CheckReport, text, payload):
+    """A failed report's first failing entry, as a text line and a JSON key."""
+    for e in r.failures()[:1]:
+        text.append(f"first failure: {e.label}  {e.detail}")
+        payload["first_failure"] = {"label": e.label, "detail": e.detail}
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -278,6 +285,7 @@ def cmd_center(args):
         text.append(f"witness value at lambda={lam}: {value}")
         payload["witness"] = {"lambda": str(lam), "value": value}
     ok = report.ok
+    _first_failure(report, text, payload)
     text.append("pass" if ok else "FAIL")
     payload["ok"] = ok
     return text, payload, None, ok
@@ -329,6 +337,7 @@ def cmd_ngl(args):
         text.append(f"  {{{names[a]}, {names[b]}}} = {got}")
     text.append(f"matches matrix commutators: {report.ok}")
     payload = {"n": n, "pairs": pairs, "matches_commutators": report.ok}
+    _first_failure(report, text, payload)
     return text, payload, None, report.ok
 
 

@@ -279,7 +279,9 @@ def _format_tensor(t) -> str:
 
 
 class TensorElement(_Combination):
-    """An element of A (x) A: finite map (Word, Word) -> coefficient."""
+    """An element of A (x) A: finite map (Word, Word) -> coefficient; of,
+    unit, flip, outer and collapse act on A (x) A.  It also holds the
+    three-factor terms of brackets.verify_double_jacobi, keyed by triples."""
 
     _order = staticmethod(_by_words)
 
@@ -308,22 +310,6 @@ class TensorElement(_Combination):
             k = u * v
             out[k] = out.get(k, 0) + c
         return FreeElement(out)
-
-    __repr__ = _format_tensor
-
-
-class TripleTensor(_Combination):
-    """An element of A (x) A (x) A, with the cyclic-shift actions."""
-
-    _order = staticmethod(_by_words)
-
-    def shift(self) -> "TripleTensor":
-        """sigma: a (x) b (x) c -> c (x) a (x) b."""
-        return TripleTensor({(c, a, b): v for (a, b, c), v in self.terms.items()})
-
-    def shift_inv(self) -> "TripleTensor":
-        """sigma^{-1}: a (x) b (x) c -> b (x) c (x) a."""
-        return TripleTensor({(b, c, a): v for (a, b, c), v in self.terms.items()})
 
     __repr__ = _format_tensor
 

@@ -5,7 +5,6 @@ import pytest
 
 from necklaces.brackets import (
     BracketRule,
-    _left_extend,
     _necklace_view,
     _open,
     center_check,
@@ -24,7 +23,6 @@ from necklaces.elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
-    TripleTensor,
     parse_element,
     project_to_necklace,
 )
@@ -762,23 +760,69 @@ def test_reused_opening_matches_a_fresh_one():
     assert nonzero > 20
 
 
-def test_left_extend_opens_its_element_once():
-    """{{a, u (x) v}} for every term of a k-term tensor is {{a, u}} (x) v,
-    summed over the terms."""
+def _jacobi_terms(rule, a, b, c) -> list:
+    """The three cyclic terms {{x, {{y, z}}'}} (x) {{y, z}}'' for (x, y, z) =
+    (a, b, c), (b, c, a), (c, a, b), with no shift applied: dicts keyed by
+    (s, t, v), every double bracket summed from _reference_double_bracket."""
+
+    def bracket(e, f):
+        out = TensorElement()
+        for we, ce in e.terms.items():
+            for wf, cf in f.terms.items():
+                out = out + _reference_double_bracket(rule, we, wf).scaled(ce * cf)
+        return out
+
+    terms = []
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        term: dict = {}
+        for (u, v), c1 in bracket(y, z).terms.items():
+            for (s, t), c2 in bracket(x, FreeElement.of(u)).terms.items():
+                term[(s, t, v)] = term.get((s, t, v), 0) + c1 * c2
+        terms.append(term)
+    return terms
+
+
+def _placed(terms, shifts) -> TensorElement:
+    """The sum of the cyclic terms, the k-th with shifts[k] applied to each key."""
+    out: dict = {}
+    for term, shift in zip(terms, shifts):
+        for key, c in term.items():
+            key = shift(*key)
+            out[key] = out.get(key, 0) + c
+    return TensorElement(out)
+
+
+IDENTITY = lambda s, t, v: (s, t, v)
+SIGMA = lambda s, t, v: (v, s, t)  # a (x) b (x) c -> c (x) a (x) b
+SIGMA_INV = lambda s, t, v: (t, v, s)  # a (x) b (x) c -> b (x) c (x) a
+
+
+def test_double_jacobi_places_each_cyclic_term():
+    """On a twisted antisymmetric rule that fails double Jacobi, the left-hand
+    side is the reference sum of the three cyclic terms with 1, sigma and
+    sigma^-1, and no other choice of those three shifts gives it."""
     rule = _two_partner_rule()
     a = FreeElement({word("x1x2*x1"): 2, word("x2x1*"): Fraction(-1, 3)})
-    t = TensorElement({
-        (word("x1*x2"), word("x1")): 1,
-        (word("x2*x2*"), EMPTY_WORD): -2,
-        (word("x1*"), word("x2*x1")): 5,
-    })
-    got = _left_extend(rule, a, t)
-    want = {}
-    for (u, v), c in t.terms.items():
-        for wa, ca in a.terms.items():
-            for (s, r), c2 in _reference_double_bracket(rule, wa, u).terms.items():
-                want[(s, r, v)] = want.get((s, r, v), 0) + c * ca * c2
-    assert got == TripleTensor(want) and got
+    b = FreeElement({word("x1*x2"): 1, word("x2*x2*"): -2})
+    c = FreeElement({word("x2*x1"): 5, word("x1"): Fraction(3, 4)})
+    got = verify_double_jacobi(rule, a, b, c)
+    terms = _jacobi_terms(rule, a, b, c)
+    assert all(terms) and got
+    shifts = (IDENTITY, SIGMA, SIGMA_INV)
+    assert got == _placed(terms, shifts)
+    others = [p for p in itertools.product(shifts, repeat=3) if p != shifts]
+    assert all(_placed(terms, p) != got for p in others)
+
+
+def test_double_jacobi_fails_with_sigma_and_its_inverse_swapped():
+    """A negative control on the canonical rule: with sigma^-1 on the second
+    cyclic term and sigma on the third the sum is nonzero, while the identity
+    holds."""
+    a, b, c = (FreeElement.of(word(w)) for w in ("x1*x1", "x1x1", "x1*x1"))
+    assert verify_double_jacobi(CANON1, a, b, c).is_zero
+    terms = _jacobi_terms(CANON1, a, b, c)
+    assert _placed(terms, (IDENTITY, SIGMA, SIGMA_INV)).is_zero
+    assert _placed(terms, (IDENTITY, SIGMA_INV, SIGMA))
 
 
 def test_letters_are_checked_on_a_cache_hit():

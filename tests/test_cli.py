@@ -7,7 +7,7 @@ import pytest
 from necklaces import brackets, cli, linear_rules, sl2
 from necklaces.brackets import kontsevich_bracket
 from necklaces.cli import main
-from necklaces.elements import Necklace, NecklaceElement, TripleTensor
+from necklaces.elements import Necklace, NecklaceElement, TensorElement
 from necklaces.words import Word, word
 
 
@@ -501,7 +501,7 @@ def test_bracket_prints_the_oracle_own_terms_when_they_differ(capsys, monkeypatc
 
 
 def test_failed_check_exits_1_and_names_a_triple(capsys, monkeypatch):
-    broken = TripleTensor({(word("x"), word("x"), word("x")): 1})
+    broken = TensorElement({(word("x"), word("x"), word("x")): 1})
     monkeypatch.setattr(brackets, "verify_double_jacobi", lambda rule, a, b, c: broken)
     code, out = run(capsys, "verify", "jacobi", "--format", "json")
     assert code == 1
@@ -518,12 +518,35 @@ def test_failed_center_check_exits_1_and_counts_the_failing_entries(capsys, monk
     assert code == 0
     checked = json.loads(out)["checked"]
     monkeypatch.setattr(brackets, "center_element", lambda d, n: NecklaceElement.of("xx*"))
-    failing = len(brackets.center_check(1, 1, 2).failures())
+    failing = brackets.center_check(1, 1, 2).failures()
     code, out = run(capsys, "center", "1", "1", "2", "--format", "json")
     assert code == 1
     data = json.loads(out)
-    assert data["ok"] is False and data["violations"] == failing > 0
+    assert data["ok"] is False and data["violations"] == len(failing) > 0
     assert data["checked"] == checked
+    # the first failing necklace and its nonzero bracket are the witness
+    first = {"label": failing[0].label, "detail": failing[0].detail}
+    assert data["first_failure"] == first and first["detail"]
+    code, out = run(capsys, "center", "1", "1", "2")
+    assert code == 1
+    assert out.splitlines()[-2:] == [f"first failure: {first['label']}  {first['detail']}", "FAIL"]
+
+
+def test_failed_ngl_exits_1_and_names_the_first_pair(capsys, monkeypatch):
+    real = linear_rules.necklace_bracket
+    monkeypatch.setattr(linear_rules, "necklace_bracket", lambda rule, a, b: -real(rule, a, b))
+    code, out = run(capsys, "ngl", "2", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["matches_commutators"] is False
+    # {e11, e11} = 0 passes with either sign; {e11, e12} = e12 is the first to fail
+    assert data["first_failure"] == {"label": "{x1, x2}", "detail": "got -e12, expected e12"}
+    code, out = run(capsys, "ngl", "2")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "matches matrix commutators: False",
+        "first failure: {x1, x2}  got -e12, expected e12",
+    ]
 
 
 def test_failed_grading_exits_1_and_names_the_pair(capsys, monkeypatch):

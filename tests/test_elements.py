@@ -9,7 +9,6 @@ from necklaces.elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
-    TripleTensor,
     format_element,
     parse_element,
     parse_rational,
@@ -116,20 +115,6 @@ def test_tensor_actions_and_collapse():
     assert t.collapse() == FreeElement.of(word("xx*"), 2)
 
 
-def test_triple_tensor_cycles():
-    rng = random.Random(4)
-    for _ in range(30):
-        t = TripleTensor(
-            {
-                (random_word(rng, max_len=3), random_word(rng, max_len=3), random_word(rng, max_len=3)): 1
-                for _ in range(3)
-            }
-        )
-        assert t.shift().shift().shift() == t
-        assert t.shift().shift_inv() == t
-        assert t.shift_inv().shift() == t
-
-
 def test_parse_and_format_roundtrip():
     e = parse_element("2*xx*xx* - 2*xxx*x*")
     assert e == FreeElement({word("xx*xx*"): 2, word("xxx*x*"): -2})
@@ -214,9 +199,8 @@ def test_tensor_reprs():
     t = TensorElement({(x, xs): -1, (word("1"), x): Fraction(1, 2)})
     assert repr(t) == "1/2*1(x)x1 + -1*x1(x)x1*"
     assert repr(TensorElement()) == "0"
-    tt = TripleTensor({(x, word("1"), xs): -2, (word("1"), word("1"), word("1")): Fraction(3, 4)})
+    tt = TensorElement({(x, word("1"), xs): -2, (word("1"), word("1"), word("1")): Fraction(3, 4)})
     assert repr(tt) == "3/4*1(x)1(x)1 + -2*x1(x)1(x)x1*"
-    assert repr(TripleTensor()) == "0"
 
 
 def test_format_examples():

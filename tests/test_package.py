@@ -24,7 +24,7 @@ PUBLIC = [
     "kontsevich_bracket", "loday_bracket", "necklace_bracket", "verify_double_jacobi",
     "verify_loday_properties", "enumerate_necklaces", "lyndon_count",
     "necklace_count_by_enumeration", "necklace_dimension", "FreeElement", "Necklace",
-    "NecklaceElement", "TensorElement", "TripleTensor", "format_element", "parse_element",
+    "NecklaceElement", "TensorElement", "format_element", "parse_element",
     "project_to_necklace", "AssociativityError", "StructureConstants",
     "check_degree1_commutator", "gl_constants", "linear_rule", "ngl", "Polynomial",
     "PolyMatrix", "symplectic_poisson", "PoissonPolyAlgebra", "casimir", "casimir_check",

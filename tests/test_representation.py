@@ -14,7 +14,6 @@ from necklaces.elements import (
     Necklace,
     NecklaceElement,
     TensorElement,
-    TripleTensor,
     format_element,
     parse_element,
     project_to_necklace,
@@ -159,6 +158,6 @@ def test_iteration_order_is_the_word_lt_order():
         e = random_element(r, alphabet, terms=12, max_len=6)
         n = project_to_necklace(e)
         t = TensorElement({(random_word(r, alphabet, 0, 4), w): c for w, c in e.terms.items()})
-        t3 = TripleTensor({(w, *k): c for (k, c), w in zip(t.terms.items(), e.terms)})
+        t3 = TensorElement({(w, *k): c for (k, c), w in zip(t.terms.items(), e.terms)})
         for combination in (e, n, t, t3):
             assert [k for k, _ in combination] == sorted(combination.terms)
